@@ -12,7 +12,8 @@ re-expressed as idiomatic Ray Data pipelines:
 - ``sources/``   — corpus readers (Parquet pages table per BASELINE input_hint).
 - ``pipelines/`` — end-to-end pipelines (frontier crawl loop, dedup, ANN,
   text analysis, relational queries).
-- ``state/``     — bloom filter, seen shards, checkpoint/resume.
+- ``state/``     — per-epoch checkpoint/resume, the live metrics actor and a
+  Bloom filter (the seen shards themselves live in ``stages/seen.py``).
 - ``oracle/``    — the *pinned* row-at-a-time reference implementation of the
   Go algorithms, used to mint golden outputs and as the correctness oracle.
 

@@ -44,8 +44,11 @@ class CrawlConfig:
     download_budget_per_epoch: int = 0
 
     # ---- engine execution knobs (no reference analogue) ----
-    # number of URL-seen shard actors (hash-partitioned on url_norm)
-    seen_shards: int = 8
+    # number of URL-seen shard actors (hash-partitioned on url_norm);
+    # 0 or negative = one per four cluster CPUs, at least one. The shard
+    # pool lives for the Ray session and is reused by every crawl call
+    # (stages/seen.ShardedSeen)
+    seen_shards: int = 0
     # map_batches batch size for the extract stage
     extract_batch_size: int = 256
     # actor-pool size for the extract stage; None = stateless tasks

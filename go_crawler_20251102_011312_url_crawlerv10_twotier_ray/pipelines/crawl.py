@@ -544,10 +544,7 @@ def run_crawl(
             extracted_sink=extracted_sink, resume=resume,
         )
 
-    n_shards = cfg.seen_shards
-    if n_shards <= 0:
-        n_shards = max(8, int(ray.cluster_resources().get("CPU", 8)) // 2)
-    seen = ShardedSeen(n_shards)
+    seen = ShardedSeen(cfg.seen_shards)
     _setup_tick("seen-shards")
     offers_expected = 0  # cumulative fence targets for fire-and-forget offers
     doc_offers_expected = 0
@@ -589,18 +586,8 @@ def run_crawl(
                 dispatched_seed_raws.update(
                     set(acc["order"][-1]["url"].to_pylist()) & seed_raw_set
                 )
-                seen_norms = sd["url_norm"].to_pylist()
-                docs = dl["url"].to_pylist()
-                for kind, keys in (("norm", seen_norms), ("doc", docs)):
-                    n = seen.n_shards
-                    from ..stages.seen import shard_of
-                    per: dict[int, list[str]] = {}
-                    for key in keys:
-                        per.setdefault(shard_of(key, n), []).append(key)
-                    ray.get([
-                        seen.shards[sid].add.remote(kind, ks)
-                        for sid, ks in per.items()
-                    ])
+                seen.check_and_add("norm", sd["url_norm"].to_pylist())
+                seen.check_and_add("doc", dl["url"].to_pylist())
             start_epoch = done[-1] + 1
             frontier = ckpt.read_epoch_table(
                 cfg.checkpoint_dir, done[-1], "frontier_next"
@@ -699,9 +686,7 @@ def run_crawl(
                                   // cfg.extract_batch_size))
             sched_ds = rd.from_arrow(sched_tbl).repartition(n_blocks)
 
-            import uuid
-
-            epoch_token = f"{uuid.uuid4().hex[:8]}-{epoch}"
+            epoch_token = seen.epoch_token(epoch)
             if len(scheduled) == 0:
                 # retry-drain epoch: only pending download retries remain
                 fetched = None
@@ -1093,8 +1078,6 @@ def _run_crawl_dataset_frontier(
     candidates never pass through the driver; driver state is counters,
     the retry lane and the (tiny) seed set. No rank trace, no checkpoint
     (use frontier_mode="driver" for those)."""
-    import uuid
-
     import pyarrow.compute as pc
 
     debug = bool(os.environ.get("GRAFT_CRAWL_DEBUG"))
@@ -1107,10 +1090,7 @@ def _run_crawl_dataset_frontier(
         return t0
 
     pages_path = os.path.join(corpus_dir, "pages")
-    n_shards = cfg.seen_shards
-    if n_shards <= 0:
-        n_shards = max(8, int(ray.cluster_resources().get("CPU", 8)) // 2)
-    seen = ShardedSeen(n_shards)
+    seen = ShardedSeen(cfg.seen_shards)
     metrics = None
     if cfg.live_metrics:
         from ..state.metrics import get_or_create_metrics
@@ -1231,7 +1211,7 @@ def _run_crawl_dataset_frontier(
                     batch_format="pyarrow",
                 )
                 _t = _tick("schedule+revisits", _t)
-                epoch_token = f"{uuid.uuid4().hex[:8]}-{epoch}"
+                epoch_token = seen.epoch_token(epoch)
                 if mode == "broadcast":
                     fetched = sched_ds.map_batches(
                         FetchAndExtract(cfg, corpus_ref, seen.handles(),
@@ -1424,11 +1404,12 @@ def _ckpt_dataset_epoch(ckpt_dir: str, epoch: int, frontier_ds,
 
 class _ReplayNorms:
     """Resume kernel: re-commit prior epochs' survivor norms into the
-    fresh seen shards (check_and_add is idempotent and order-independent
+    leased seen shards (check_and_add is idempotent and order-independent
     for membership, so the distributed replay needs no coordination)."""
 
-    def __init__(self, handles: list):
+    def __init__(self, handles: list, token: str):
         self.handles = handles
+        self.token = token
 
     def __call__(self, t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -1437,7 +1418,7 @@ class _ReplayNorms:
 
         norms = t.filter(pc.equal(t["priority"], 0))["url_norm"].to_pylist()
         if norms:
-            check_and_add_batch(self.handles, "norm", norms)
+            check_and_add_batch(self.handles, "norm", norms, self.token)
         return pa.table({"n": pa.array([len(norms)], pa.int64())})
 
 
@@ -1473,13 +1454,12 @@ def _resume_dataset_state(ckpt_dir: str, seen, res, dl_acc: list,
         seen.check_and_add("doc", sorted(doc_urls))
     if meta["raw_keys"]:
         seen.check_and_add("raw", meta["raw_keys"])
-    handles = seen.handles()
     for k in done:
         fdir = os.path.join(ckpt.epoch_dir(ckpt_dir, k), "frontier_next")
         if not os.path.isdir(fdir):
             continue
         rd.read_parquet(fdir, columns=["url_norm", "priority"]).map_batches(
-            _ReplayNorms(handles), batch_format="pyarrow"
+            _ReplayNorms(seen.handles(), seen.token), batch_format="pyarrow"
         ).count()
     frontier_ds = None
     if meta["frontier_count"]:

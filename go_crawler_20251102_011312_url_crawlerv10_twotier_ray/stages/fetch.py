@@ -218,7 +218,8 @@ def offer_candidates(out_tbl: pa.Table, cand_kernel: CandidateLinks,
         norms_out.append(norm)
         keys_out.append(key)
     if norms_out:
-        return offer_min_batch(seen_handles, "norm", norms_out, keys_out)
+        return offer_min_batch(seen_handles, "norm", norms_out, keys_out,
+                               epoch_token)
     return 0
 
 
@@ -280,7 +281,8 @@ def offer_documents(out_tbl: pa.Table, seen_handles: list,
         urls_out.append(u)
         keys_out.append(key)
     if urls_out:
-        return offer_min_batch(seen_handles, "doc", urls_out, keys_out)
+        return offer_min_batch(seen_handles, "doc", urls_out, keys_out,
+                               epoch_token)
     return 0
 
 

@@ -1,75 +1,92 @@
-"""Sharded URL-seen filter — the engine's central stateful stage.
+"""Sharded URL-seen sets — the engine's central stateful stage.
 
 The reference's three dedup structures are mutex-guarded in-process maps:
-
-- normalized-URL seen map (T1, crawler/crawler_twotier.go:23-24, 223-245),
-- colly's internal raw-URL revisit storage (T2, crawler_twotier.go:200),
-- downloaded∪pending document map (T3, downloader.go:41-44, 280-293).
-
+the normalized-URL seen map (T1, crawler/crawler_twotier.go:23-24,
+223-245), colly's raw-URL revisit storage (T2, crawler_twotier.go:200) and
+the downloaded∪pending document map (T3, downloader.go:41-44, 280-293).
 Here all three become ONE pool of ``SeenShard`` actors, hash-partitioned on
-the key (stable blake2b hash — not Python's salted ``hash``), each holding a
-Bloom front + exact set per key kind. ``check_and_add`` is atomic per shard
-(actor mailbox serializes calls), giving exactly-once accept semantics.
-Batches from any ``map_batches`` task route their keys to shards with
+the key (stable blake2b hash, not Python's salted ``hash``), each holding an
+exact set per key kind. Calls are atomic per shard (the actor mailbox
+serializes them), giving exactly-once accept semantics. ``map_batches``
+tasks route their keys to the shards with :func:`offer_min_batch` /
 :func:`check_and_add_batch`; the driver never funnels the key stream.
 
-Determinism: callers must deduplicate keys *within* an epoch before calling
-(pipelines/crawl.py does a groupby(url_norm) dedup with a deterministic
-tie-break first), so cross-batch call order cannot change which row wins.
+Pool lifetime: shard actors live for the whole Ray session. ``ShardedSeen(n)``
+leases a free pool of ``n`` shards (spawning one only when none is free) and
+``ShardedSeen.kill`` resets the shards and gives the pool back, so a crawl
+call starts no process once the session is warm. Each lease carries a call
+token; offers and task-sent ``check_and_add`` calls name it, and a shard
+ignores any other token, so a late fire-and-forget offer from an earlier
+call never enters the next call's sets. Shards ask ``num_cpus=0``: they
+never hold back CPU a fetch task waits for.
 
-Scale notes: shard count is a config knob (cfg.seen_shards); at 10^10 URLs
-shards spread across the cluster (Ray places actors), the Bloom front keeps
-the hot path cheap and the exact sets are snapshot to per-shard Parquet at
-every epoch checkpoint (state/checkpoint.py) for resume.
+Shard count: ``n <= 0`` means one shard per four cluster CPUs, at least one.
+Shards keep no snapshot: resume replays the per-epoch checkpoint deltas into
+the leased pool (pipelines/crawl.py).
 """
 
 from __future__ import annotations
 
+import threading
+import time
+import uuid
+
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
-from ..state.bloom import BloomFilter, stable_hash64
+from ..state.bloom import stable_hash64
 
 KINDS = ("norm", "raw", "doc")
+
+
+def _call_of(token: str) -> str:
+    """The call part of an epoch token ``f"{call_token}-{epoch}"``."""
+    return token.split("-", 1)[0]
 
 
 class SeenShard:
     """One shard of the seen state. Instantiated via ray.remote."""
 
-    def __init__(self, shard_id: int, bloom_capacity: int = 1_000_000):
-        self.shard_id = shard_id
+    def __init__(self, token: str):
+        self.reset(token)
+
+    def reset(self, token: str) -> None:
+        """Forget every key and make ``token`` the current call."""
+        self.token = token
         self.exact: dict[str, set[str]] = {k: set() for k in KINDS}
-        self.bloom: dict[str, BloomFilter] = {
-            k: BloomFilter(bloom_capacity) for k in KINDS
-        }
         self.epoch_buf: dict[str, dict[str, str]] = {}
-        # lifetime count of offer ENTRIES processed, per kind — the driver
-        # fences an epoch by waiting until sum(received) catches up with the
-        # entries the (fire-and-forget) fetch tasks reported sending
+        # count of current-call offer ENTRIES processed, per kind — the
+        # crawl loop fences an epoch by waiting until sum(received) catches
+        # up with the entries the (fire-and-forget) fetch tasks reported
+        # sending
         self.received: dict[str, int] = {k: 0 for k in KINDS}
 
-    def check_and_add(self, kind: str, keys: list[str]) -> list[bool]:
+    def check_and_add(self, kind: str, keys: list[str],
+                      token: str) -> list[bool]:
         """For each key: True if newly added (was not seen), else False.
-        Atomic for the whole call (actor model)."""
+        Atomic for the whole call (actor model). A stale token adds
+        nothing and answers False."""
+        if _call_of(token) != self.token:
+            return [False] * len(keys)
         s = self.exact[kind]
-        bf = self.bloom[kind]
         out = []
         for k in keys:
-            if bf.might_contain(k) and k in s:
-                out.append(False)
-            else:
-                s.add(k)
-                bf.add(k)
-                out.append(True)
+            out.append(k not in s)
+            s.add(k)
         return out
 
-    def offer_min(self, kind: str, norms: list[str], keys: list[str]) -> int:
+    def offer_min(self, kind: str, norms: list[str], keys: list[str],
+                  token: str) -> int:
         """Within-epoch candidate dedup fused into the shard: buffer the MIN
         key per unseen norm (min is order-independent ⇒ deterministic no
         matter how batches race). The buffered set becomes visible to the
         seen set only at drain_epoch — all offers within an epoch observe
         the pre-epoch state, exactly like the oracle's epoch-batch
-        semantics. Replaces a full groupby(url_norm) shuffle per epoch."""
+        semantics. Offers with a stale token are dropped uncounted."""
+        if _call_of(token) != self.token:
+            return 0
         s = self.exact[kind]
         buf = self.epoch_buf.setdefault(kind, {})
         self.received[kind] += len(norms)
@@ -86,13 +103,10 @@ class SeenShard:
     def offers_received(self, kind: str) -> int:
         return self.received[kind]
 
-    def drain_epoch_table(self, kind: str):
-        """drain_epoch, returned as one Arrow table — the dataset-frontier
-        path builds the next epoch's frontier with
-        ``ray.data.from_arrow_refs`` over these per-shard refs, so the
-        accepted candidates NEVER pass through the driver."""
-        import pyarrow as pa
-
+    def drain_epoch_table(self, kind: str) -> pa.Table:
+        """drain_epoch as one Arrow table: the dataset-frontier loop reads
+        these refs with ``from_arrow_refs``, so the rows never reach the
+        crawl loop's own process."""
         norms, keys = self.drain_epoch(kind)
         return pa.table({"url_norm": norms, "key": keys})
 
@@ -101,39 +115,10 @@ class SeenShard:
         (norm, min_key) pairs as two Arrow arrays (zero-copy transfer).
         Pairs are returned UNSORTED — the driver-side assemble sorts the
         merged result anyway, so a per-shard sort would be pure waste."""
-        import os
-        import time
-
-        import pyarrow as pa
-
-        t0 = time.perf_counter()
         buf = self.epoch_buf.pop(kind, {})
-        s = self.exact[kind]
-        s.update(buf.keys())
-        self.bloom[kind].add_many(list(buf.keys()))
-        out = (
-            pa.array(list(buf.keys()), pa.string()),
-            pa.array(list(buf.values()), pa.string()),
-        )
-        if os.environ.get("GRAFT_CRAWL_DEBUG"):
-            import sys
-
-            print(
-                f"[shard {self.shard_id}] drain {len(buf)} keys "
-                f"in {time.perf_counter()-t0:.3f}s at {time.time():.3f}",
-                file=sys.stderr, flush=True,
-            )
-        return out
-
-    def contains(self, kind: str, keys: list[str]) -> list[bool]:
-        s = self.exact[kind]
-        return [k in s for k in keys]
-
-    def add(self, kind: str, keys: list[str]) -> None:
-        s = self.exact[kind]
-        new = [k for k in keys if k not in s]
-        s.update(new)
-        self.bloom[kind].add_many(new)
+        self.exact[kind].update(buf.keys())
+        return (pa.array(list(buf.keys()), pa.string()),
+                pa.array(list(buf.values()), pa.string()))
 
     def size(self, kind: str) -> int:
         return len(self.exact[kind])
@@ -142,51 +127,58 @@ class SeenShard:
         """Exact keys of ONE kind (dataset-mode checkpoint uses this for
         the tiny 'raw' seed-dispatch set only; norm/doc state is rebuilt
         from the per-epoch parquet instead of being dumped)."""
-        return sorted(self.exact[kind])
+        return list(self.exact[kind])
 
-    def snapshot(self) -> dict:
-        """Checkpoint payload: exact keys per kind + bloom digest."""
-        return {
-            "shard_id": self.shard_id,
-            "exact": {k: sorted(v) for k, v in self.exact.items()},
-            "bloom_bytes": {k: self.bloom[k].to_bytes() for k in KINDS},
-            "bloom_added": {k: self.bloom[k].n_added for k in KINDS},
-        }
 
-    def restore(self, snap: dict) -> None:
-        for k in KINDS:
-            self.exact[k] = set(snap["exact"].get(k, []))
-            cap = self.bloom[k].capacity
-            self.bloom[k] = BloomFilter.from_bytes(
-                snap["bloom_bytes"][k], cap, self.bloom[k].fp_rate,
-                snap["bloom_added"][k],
-            ) if k in snap.get("bloom_bytes", {}) else self.bloom[k]
+# Free shard pools of this process: (session, n_shards) -> [(handles, token)].
+# A pool is on this list only between a kill() and the next lease.
+_FREE: dict[tuple, list[tuple[list, str]]] = {}
+_FREE_LOCK = threading.Lock()
+
+
+def _session() -> tuple[str, str]:
+    """Identity of the Ray session this process is connected to: a new
+    local cluster has a new node id, a reconnect has a new job id."""
+    ctx = ray.get_runtime_context()
+    return ctx.get_node_id(), ctx.get_job_id()
 
 
 class ShardedSeen:
-    """Driver-side handle bundle for the shard pool."""
+    """A lease of one shard pool (see the module docstring)."""
 
-    def __init__(self, n_shards: int, bloom_capacity: int = 1_000_000):
+    def __init__(self, n_shards: int = 0):
+        if n_shards <= 0:
+            cpus = int(ray.cluster_resources().get("CPU", 4))
+            n_shards = max(1, cpus // 4)
         self.n_shards = n_shards
-        actor_cls = ray.remote(num_cpus=0.05)(SeenShard)
-        self.shards = [
-            actor_cls.remote(i, bloom_capacity) for i in range(n_shards)
-        ]
+        session = _session()
+        self._key = (session, n_shards)
+        with _FREE_LOCK:
+            for key in [k for k in _FREE if k[0] != session]:
+                del _FREE[key]  # handles of an ended session
+            free = _FREE.get(self._key)
+            pool = free.pop() if free else None
+        if pool is None:
+            token = uuid.uuid4().hex
+            actor_cls = ray.remote(num_cpus=0)(SeenShard)
+            pool = ([actor_cls.remote(token) for _ in range(n_shards)], token)
+        self.shards, self.token = pool
 
     def handles(self) -> list:
         return self.shards
 
+    def epoch_token(self, epoch: int) -> str:
+        return f"{self.token}-{epoch}"
+
     def check_and_add(self, kind: str, keys: list[str]) -> np.ndarray:
-        return check_and_add_batch(self.shards, kind, keys)
+        return check_and_add_batch(self.shards, kind, keys, self.token)
 
     def total(self, kind: str) -> int:
         return sum(ray.get([s.size.remote(kind) for s in self.shards]))
 
     def keys(self, kind: str) -> list[str]:
-        out: list[str] = []
-        for part in ray.get([s.dump_keys.remote(kind) for s in self.shards]):
-            out.extend(part)
-        return sorted(out)
+        parts = ray.get([s.dump_keys.remote(kind) for s in self.shards])
+        return sorted(k for part in parts for k in part)
 
     def drain(self, kind: str):
         """Merged accepted (norm, key) pairs from all shards, norm-sorted,
@@ -195,25 +187,29 @@ class ShardedSeen:
             ray.get([s.drain_epoch.remote(kind) for s in self.shards])
         )
 
-    def snapshots(self) -> list[dict]:
-        return ray.get([s.snapshot.remote() for s in self.shards])
-
-    def restore(self, snaps: list[dict]) -> None:
-        ray.get(
-            [self.shards[s["shard_id"]].restore.remote(s) for s in snaps]
-        )
-
     def kill(self) -> None:
-        for s in self.shards:
-            ray.kill(s)
-        self.shards = []
+        """End the lease: reset the shards under a fresh token and put the
+        pool back on the free list. A pool from an ended session, or with
+        a dead shard, is dropped instead."""
+        shards, self.shards = self.shards, []
+        if not (shards and ray.is_initialized()
+                and _session() == self._key[0]):
+            return
+        token = uuid.uuid4().hex
+        try:
+            # waited for: a fetch task of the next lease must not reach a
+            # shard that still holds the old token
+            ray.get([s.reset.remote(token) for s in shards])
+        except ray.exceptions.RayActorError:
+            for s in shards:
+                ray.kill(s)
+            return
+        with _FREE_LOCK:
+            _FREE.setdefault(self._key, []).append((shards, token))
 
 
 def assemble_drain(parts):
     """Merge per-shard (norms, keys) arrow arrays into one norm-sorted table."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
     norms = pa.concat_arrays([p[0] for p in parts])
     keys = pa.concat_arrays([p[1] for p in parts])
     if len(norms) == 0:
@@ -224,24 +220,27 @@ def assemble_drain(parts):
     )
 
 
-def shard_of(key: str, n_shards: int) -> int:
-    return stable_hash64(key) % n_shards
+def _split(n_shards: int, keys: list, *cols) -> dict[int, tuple]:
+    """Group ``keys`` and the parallel lists ``cols`` by the shard of each
+    key: {shard: (keys, *cols)}. One shard takes the lists as given."""
+    if n_shards == 1:
+        return {0: (keys, *cols)} if keys else {}
+    per: dict[int, list] = {}
+    for row in zip(keys, *cols):
+        per.setdefault(stable_hash64(row[0]) % n_shards, []).append(row)
+    return {sid: tuple(map(list, zip(*rows))) for sid, rows in per.items()}
 
 
-def offer_min_batch(shard_handles: list, kind: str, norms, keys) -> int:
+def offer_min_batch(shard_handles: list, kind: str, norms, keys,
+                    token: str) -> int:
     """Route (norm, key) offers to their shards (callable from map_batches
     tasks). FIRE-AND-FORGET: no blocking round-trip in the fetch hot path —
     the driver fences the epoch by polling ``offers_received`` until it
     catches up with the sent-entry count the tasks report in their output
     (pipelines/crawl.py). Returns the number of entries submitted."""
-    n = len(shard_handles)
-    per_shard: dict[int, tuple[list[str], list[str]]] = {}
-    for norm, key in zip(norms, keys):
-        sl = per_shard.setdefault(shard_of(norm, n), ([], []))
-        sl[0].append(norm)
-        sl[1].append(key)
-    for sid, (ns, ks) in per_shard.items():
-        shard_handles[sid].offer_min.remote(kind, ns, ks)
+    norms = list(norms)
+    for sid, (ns, ks) in _split(len(shard_handles), norms, list(keys)).items():
+        shard_handles[sid].offer_min.remote(kind, ns, ks, token)
     return len(norms)
 
 
@@ -253,8 +252,6 @@ def wait_offers_received(shard_handles: list, kind: str, expected: int,
     timeout — it resets whenever the received count grows, so a huge but
     draining backlog never false-aborts; only zero progress for the full
     window raises."""
-    import time
-
     last = -1
     deadline = time.monotonic() + timeout
     while True:
@@ -275,24 +272,16 @@ def wait_offers_received(shard_handles: list, kind: str, expected: int,
         time.sleep(0.005)
 
 
-def check_and_add_batch(shard_handles: list, kind: str, keys) -> np.ndarray:
+def check_and_add_batch(shard_handles: list, kind: str, keys,
+                        token: str) -> np.ndarray:
     """Route keys to their shards, check-and-add, reassemble the mask in
     input order. Callable from inside map_batches tasks (actor handles are
     serializable) — the hot-path seen probe never goes through the driver."""
     keys = list(keys)
-    n = len(shard_handles)
-    per_shard: dict[int, list[int]] = {}
-    for idx, k in enumerate(keys):
-        per_shard.setdefault(shard_of(k, n), []).append(idx)
+    parts = _split(len(shard_handles), keys, range(len(keys)))
+    refs = [shard_handles[sid].check_and_add.remote(kind, ks, token)
+            for sid, (ks, _) in parts.items()]
     mask = np.zeros(len(keys), dtype=bool)
-    refs = []
-    order = []
-    for sid, idxs in per_shard.items():
-        refs.append(
-            shard_handles[sid].check_and_add.remote(kind, [keys[i] for i in idxs])
-        )
-        order.append(idxs)
-    for idxs, res in zip(order, ray.get(refs)):
-        for i, ok in zip(idxs, res):
-            mask[i] = ok
+    for (_, idxs), res in zip(parts.values(), ray.get(refs)):
+        mask[np.asarray(idxs)] = res
     return mask

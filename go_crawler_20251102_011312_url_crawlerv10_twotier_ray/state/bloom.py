@@ -1,12 +1,10 @@
-"""Numpy-backed Bloom filter — the front of each URL-seen shard.
+"""Process-stable key hash and a numpy-backed Bloom filter.
 
-The reference keeps a single in-process ``map[string]bool`` guarded by an
-RWMutex (reference crawler/crawler_twotier.go:23-24, 223-245). At 10^10-URL
-scale an exact per-shard set dominates memory, so each seen shard keeps a
-Bloom front: a "definitely new" answer skips the exact-set probe, and the
-serialized bit array is the shard's cheap checkpoint digest. False-positive
-handling stays exact because the shard also keeps the exact set (the Bloom
-is an accelerator + digest, not the source of truth).
+``stable_hash64`` routes keys to the URL-seen shards (stages/seen.py). The
+Bloom filter does not front those shards: each shard keeps an exact set,
+so a front would never decide an answer, and measured ~200× dearer than
+the exact probe. It is a standalone structure that the benchmark's layer
+probe times.
 
 Hashing: two independent 64-bit halves of blake2b(key), combined as
 h1 + i*h2 (Kirsch–Mitzenmacher double hashing) — deterministic across

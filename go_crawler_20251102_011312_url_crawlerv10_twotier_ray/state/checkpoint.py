@@ -6,7 +6,7 @@ crawler/crawler_twotier.go:237-244, downloader.go:303-310). The north rule
 requires per-partition lineage: every epoch writes
 
     <ckpt>/epoch=K/{frontier_next,extracted,order,downloads,seen_delta}.parquet
-    <ckpt>/epoch=K/meta.json          (counters + per-shard bloom digests)
+    <ckpt>/epoch=K/meta.json          (counters)
     <ckpt>/epoch=K/_SUCCESS           (written LAST — epoch is atomic)
 
 Resume = find the last epoch with ``_SUCCESS``, reload ``frontier_next``,
@@ -19,7 +19,6 @@ rerun overwrites only the incomplete epoch (exactly-once layout).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 
@@ -36,7 +35,6 @@ def write_epoch(
     epoch: int,
     tables: dict[str, pa.Table],
     meta: dict,
-    bloom_digests: list[dict] | None = None,
 ) -> None:
     d = epoch_dir(ckpt_dir, epoch)
     os.makedirs(d, exist_ok=True)
@@ -45,12 +43,6 @@ def write_epoch(
         os.remove(marker)
     for name, tbl in tables.items():
         pq.write_table(tbl, os.path.join(d, f"{name}.parquet"))
-    if bloom_digests is not None:
-        meta = dict(meta)
-        meta["bloom_digests"] = [
-            {k: hashlib.md5(v).hexdigest() for k, v in dg.items()}
-            for dg in bloom_digests
-        ]
     with open(os.path.join(d, "meta.json"), "w") as f:
         json.dump(meta, f)
     with open(marker, "w") as f:

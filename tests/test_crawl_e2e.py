@@ -577,3 +577,53 @@ def test_dataset_frontier_join_local(tiny_corpus_dir):
             == base.counters["scheduled_total"])
     assert local.downloads.sort_by("url").equals(
         base.downloads.sort_by("url"))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_back_to_back_crawls_reuse_seen_pool(smoke_corpus_dir, tiny_corpus_dir,
+                                            monkeypatch):
+    """Two crawls on different corpora in one session both match the
+    oracle, and the second leases the first one's shard actors instead of
+    spawning new ones."""
+    from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.pipelines import (
+        crawl as crawl_mod,
+    )
+
+    leases = []
+
+    class RecordingSeen(crawl_mod.ShardedSeen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            leases.append([h._actor_id.hex() for h in self.shards])
+
+    monkeypatch.setattr(crawl_mod, "ShardedSeen", RecordingSeen)
+    for d in (smoke_corpus_dir, tiny_corpus_dir):
+        o = crawl_sim.crawl(load_corpus_dict(d), _seeds(d), CrawlConfig())
+        assert_matches_oracle(run_crawl(d, CrawlConfig()), o)
+    assert len(leases) == 2 and leases[0] == leases[1]
+
+
+def _one_cpu_crawls_main(corpus_dir: str) -> None:
+    """Subprocess body: two successive crawls on a 1-CPU Ray node, each
+    checked against the oracle."""
+    import time
+
+    import ray
+
+    ray.init(address="local", num_cpus=1, include_dashboard=False,
+             logging_level="ERROR")
+    o = crawl_sim.crawl(load_corpus_dict(corpus_dir), _seeds(corpus_dir),
+                        CrawlConfig())
+    for call in (1, 2):
+        t0 = time.perf_counter()
+        assert_matches_oracle(run_crawl(corpus_dir, CrawlConfig()), o)
+        print(f"call {call}: {time.perf_counter() - t0:.1f} s", flush=True)
+    ray.shutdown()
+    print("ok")
+
+
+def test_crawl_on_one_cpu_node(smoke_corpus_dir, run_in_child):
+    """Regression: the seen shards must not hold CPU a fetch task needs —
+    on a 1-CPU node the crawl used to hang in epoch 0. Runs in a child
+    process under a hard timeout so a hang fails instead of stalling."""
+    run_in_child("test_crawl_e2e", "_one_cpu_crawls_main", smoke_corpus_dir)
