@@ -81,13 +81,16 @@ def auto_pool(lo: int = 2, frac: float = 0.5,
     Model-bearing stages must never pin a fixed tiny pool — the reference
     scales its bottleneck tier 100→800 workers on queue pressure
     (monitor.go:57-107); the Ray analogue is ``concurrency=(lo, hi)``
-    so the pool grows with the cluster instead of starving at 2 actors."""
+    so the pool grows with the cluster instead of starving at 2 actors.
+    Both bounds stay at most ``CPUs - 1`` (floor 1): the whole-CPU actors
+    never take every CPU, so the read tasks feeding them can still run."""
     try:
         cpus = int(ray.cluster_resources().get("CPU", 8))
     except Exception:
         cpus = 8
+    top = max(1, cpus - 1)
     hi = max(lo + 2, min(cap, int(cpus * frac)))
-    return (lo, hi)
+    return (min(lo, top), min(hi, top))
 
 
 def heal_blocks(ds: rd.Dataset, target_blocks: int = 200) -> rd.Dataset | None:

@@ -16,6 +16,7 @@ Patterns (scale-first):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -86,35 +87,30 @@ JACCARD_THRESHOLD = 0.5
 MINHASH_SEED = 12345
 
 
-class MinHashSignatures:
-    """Whole-batch shingle+minhash+banding — every step vectorized
-    (functions/hashing.py: memoized word hashes, one affine matrix +
-    segment minima for the signatures, int64 band keys)."""
+@functools.lru_cache(maxsize=None)
+def _minhash_perm() -> tuple[np.ndarray, np.ndarray]:
+    """The MinHash permutation parameters, drawn once per worker process."""
+    from ..functions.hashing import _perm_params
 
-    def __init__(self):
-        from ..functions.hashing import _perm_params
+    return _perm_params(N_PERM, MINHASH_SEED)
 
-        self.a, self.b = _perm_params(N_PERM, MINHASH_SEED)
 
-    def __call__(self, t: pa.Table) -> pa.Table:
-        import numpy as np
+def _minhash_bands(t: pa.Table) -> pa.Table:
+    """Whole-batch shingle+minhash+banding — a stateless task, every step
+    vectorized (functions/hashing.py: memoized word hashes, one affine
+    matrix + segment minima for the signatures, int64 band keys)."""
+    from ..functions.hashing import band_keys_matrix, minhash_matrix, shingles
 
-        from ..functions.hashing import (
-            band_keys_matrix,
-            minhash_matrix,
-            shingles,
-        )
-
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        shs = [shingles(x, SHINGLE_K) for x in t["text"].to_pylist()]
-        sig = minhash_matrix(shs, self.a, self.b)
-        bands = band_keys_matrix(sig, N_BANDS)  # (n_docs, N_BANDS) int64
-        return pa.table(
-            {
-                "doc_id": pa.array(np.repeat(ids, N_BANDS), pa.int64()),
-                "band": pa.array(bands.reshape(-1), pa.int64()),
-            }
-        )
+    a, b = _minhash_perm()
+    ids = t["doc_id"].to_numpy(zero_copy_only=False)
+    shs = [shingles(x, SHINGLE_K) for x in t["text"].to_pylist()]
+    bands = band_keys_matrix(minhash_matrix(shs, a, b), N_BANDS)
+    return pa.table(
+        {
+            "doc_id": pa.array(np.repeat(ids, N_BANDS), pa.int64()),
+            "band": pa.array(bands.reshape(-1), pa.int64()),
+        }
+    )
 
 
 _EMPTY_PAIRS = {"doc_a": "int64", "doc_b": "int64", "jaccard_pct": "int64"}
@@ -332,9 +328,11 @@ def _verify_pairs_table(t: pa.Table) -> pa.Table:
 
 
 # below this many (doc, band) rows the whole LSH tail runs on the driver:
-# Ray's hash-shuffle floor (~2 s/op on this box) dwarfs 0.03 s of pandas.
-# 5M rows ≈ 80 MB — comfortably driver-sized; past it, every step stays
-# distributed (count shuffle → map_groups pair-gen → join verify).
+# every exchange of the distributed tail (band co-partition, pair dedup,
+# then verify) pays a fixed cost in shuffle task launches that dwarfs
+# 0.03 s of pandas. 5M rows ≈ 80 MB — comfortably driver-sized; past it,
+# every step stays distributed (co-partitioned pair-gen → pair dedup →
+# broadcast or join verify).
 MINHASH_SMALL_LIMIT = 5_000_000
 # distributed tail: the verify side broadcasts the packed-shingle table
 # (index_in gather in one map) instead of two hash-join exchanges when BOTH
@@ -365,12 +363,8 @@ def dedup_minhash_lsh(sf_dir: str, mode: str = "auto") -> pd.DataFrame:
       table above (pairs deduped ahead of the joins).
     Not SQL-expressible → rows-only driver check; pytest covers semantics
     on planted near-duplicates for BOTH modes."""
-    ds = _docs(sf_dir, ["doc_id", "text"])
-    from ._schema import auto_pool
-
-    sigs = ds.map_batches(MinHashSignatures, batch_format="pyarrow",
-                          batch_size=256,
-                          concurrency=auto_pool()).materialize()
+    sigs = _docs(sf_dir, ["doc_id", "text"]).map_batches(
+        _minhash_bands, batch_format="pyarrow", batch_size=256).materialize()
     # (materialized: the size probe and whichever tail runs both reuse it)
 
     distributed = mode == "distributed" or (
@@ -515,19 +509,14 @@ SIMHASH_BANDS = 4  # 16-bit bands: Hamming ≤ 3 collides on ≥1 band (pigeonho
 _EMPTY_SIMHASH = {"doc_a": "int64", "doc_b": "int64", "hamming": "int64"}
 
 
-class SimHashSignatures:
+def _simhash_sigs(t: pa.Table) -> pa.Table:
     """Whole-batch SimHash signatures (functions/hashing.simhash_matrix:
     memoized word hashes + one reduceat; bit-identical to the per-doc
     simhash64 reference)."""
+    from ..functions.hashing import simhash_matrix
 
-    def __call__(self, t: pa.Table) -> pa.Table:
-        from ..functions.hashing import simhash_matrix
-
-        sig = simhash_matrix(t["text"].to_pylist())
-        return pa.table(
-            {"doc_id": t["doc_id"],
-             "sig": pa.array(sig, pa.uint64())}
-        )
+    sig = simhash_matrix(t["text"].to_pylist())
+    return pa.table({"doc_id": t["doc_id"], "sig": pa.array(sig, pa.uint64())})
 
 
 def _simhash_bands(t: pa.Table) -> pa.Table:
@@ -577,12 +566,8 @@ def dedup_simhash(sf_dir: str, mode: str = "auto") -> pd.DataFrame:
     (ONE hash(band) co-partition exchange feeding the vectorized pair-gen
     → pair-dedup groupby → verify via two signature joins — signatures,
     never texts, move)."""
-    ds = _docs(sf_dir, ["doc_id", "text"])
-    from ._schema import auto_pool
-
-    sigs = ds.map_batches(SimHashSignatures, batch_format="pyarrow",
-                          batch_size=256,
-                          concurrency=auto_pool()).materialize()
+    sigs = _docs(sf_dir, ["doc_id", "text"]).map_batches(
+        _simhash_sigs, batch_format="pyarrow", batch_size=256).materialize()
     band_ds = sigs.map_batches(_simhash_bands, batch_format="pyarrow")
 
     distributed = mode == "distributed" or (

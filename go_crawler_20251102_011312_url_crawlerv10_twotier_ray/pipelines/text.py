@@ -199,66 +199,58 @@ _STOPWORDS = {
 _LETTER = r"a-zA-ZäöüßéèêàçñÀ-ÿ"
 
 
-class LangId:
-    """Stopword-hit language scorer, fully vectorized: per language ONE
-    compiled boundary-anchored alternation counted with the pandas C regex
-    engine (str.count), plus one pass for the word total — no per-row
-    Python. Patterns compile once per actor (stateful-stage pattern);
-    falls back to 'und' (undetermined)."""
+# stopword patterns compile once per worker process, at import: per
+# language ONE boundary-anchored alternation
+_WORD_RE = re.compile(f"[{_LETTER}]+")
+_LANGS = sorted(_STOPWORDS)  # tie-break: first alphabetical max
+_LANG_PATS = [
+    re.compile(
+        f"(?<![{_LETTER}])(?:" + "|".join(sorted(_STOPWORDS[lang]))
+        + f")(?![{_LETTER}])",
+        re.IGNORECASE,
+    )
+    for lang in _LANGS
+]
 
-    def __init__(self):
-        import numpy as np
 
-        self.np = np
-        self.word = re.compile(f"[{_LETTER}]+")
-        self.langs = sorted(_STOPWORDS)  # tie-break: first alphabetical max
-        self.pats = {
-            lang: re.compile(
-                f"(?<![{_LETTER}])(?:"
-                + "|".join(sorted(_STOPWORDS[lang]))
-                + f")(?![{_LETTER}])",
-                re.IGNORECASE,
-            )
-            for lang in self.langs
+def _lang_predict(s: pd.Series):
+    """Stopword-hit language scorer, fully vectorized: each language's
+    pattern and the word total are counted with the pandas C regex engine
+    (str.count) — no per-row Python; 'und' (undetermined) when nothing
+    hits. Returns (lang_pred object array, hit_permille int64 array) —
+    shared by lang_id and corpus_curation."""
+    import numpy as np
+
+    n_words = s.str.count(_WORD_RE).to_numpy()
+    hits = np.stack(
+        [s.str.count(pat).to_numpy() for pat in _LANG_PATS]
+    )  # (n_langs, n_docs)
+    best_idx = hits.argmax(axis=0)
+    best_hits = hits[best_idx, np.arange(len(s))]
+    und = (best_hits == 0) | (n_words == 0)
+    preds = np.where(und, "und", np.asarray(_LANGS, dtype=object)[best_idx])
+    scores = np.where(
+        und, 0, best_hits * 1000 // np.maximum(n_words, 1)
+    ).astype(np.int64)
+    return preds, scores
+
+
+def _lang_id_batch(t: pa.Table) -> pa.Table:
+    preds, scores = _lang_predict(pd.Series(t["text"].to_pylist()))
+    return pa.table(
+        {
+            "doc_id": t["doc_id"],
+            "lang": t["lang"],
+            "lang_pred": pa.array(preds.tolist(), pa.string()),
+            "hit_permille": pa.array(scores, pa.int64()),
         }
-
-    def predict(self, s: pd.Series):
-        """(lang_pred object array, hit_permille int64 array) for a text
-        Series — shared by lang_id and corpus_curation."""
-        np = self.np
-        n_words = s.str.count(self.word).to_numpy()
-        hits = np.stack(
-            [s.str.count(self.pats[lang]).to_numpy() for lang in self.langs]
-        )  # (n_langs, n_docs)
-        best_idx = hits.argmax(axis=0)
-        best_hits = hits[best_idx, np.arange(len(s))]
-        und = (best_hits == 0) | (n_words == 0)
-        preds = np.where(
-            und, "und", np.asarray(self.langs, dtype=object)[best_idx]
-        )
-        scores = np.where(
-            und, 0, best_hits * 1000 // np.maximum(n_words, 1)
-        ).astype(np.int64)
-        return preds, scores
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        preds, scores = self.predict(pd.Series(t["text"].to_pylist()))
-        return pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "lang": t["lang"],
-                "lang_pred": pa.array(preds.tolist(), pa.string()),
-                "hit_permille": pa.array(scores, pa.int64()),
-            }
-        )
+    )
 
 
 def lang_id(sf_dir: str) -> pd.DataFrame:
-    from ._schema import auto_pool
-
-    ds = _docs(sf_dir, ["doc_id", "text", "lang"])
     return (
-        ds.map_batches(LangId, batch_format="pyarrow", concurrency=auto_pool())
+        _docs(sf_dir, ["doc_id", "text", "lang"])
+        .map_batches(_lang_id_batch, batch_format="pyarrow")
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
@@ -474,64 +466,59 @@ CURATION_MAX_TOP_WORD_BP = 2000  # Gopher-style top-word cap ('repetitive')
 CURATION_LANGS = ("de", "en", "es", "fr")  # keep-list ('language')
 
 
-class _CurationSignals:
+def _curation_signals(t: pa.Table) -> pa.Table:
     """Fused per-batch signal extractor: ONE read of the text column yields
     token/length stats, top-word fraction, predicted language, and the md5
-    exact-dup key. Stateful stage — lang patterns compile once per actor."""
+    exact-dup key."""
+    import numpy as np
+    import pyarrow.compute as pc
 
-    def __init__(self):
-        self.langid = LangId()
+    tc = t["text"]
+    n = len(tc)
+    # token/length stats straight off the Arrow buffers — no Python
+    # string materialization (the lone pandas Series below exists only
+    # because _lang_predict's stopword patterns are pandas str.count)
+    n_tokens = pc.cast(
+        pc.count_substring_regex(tc, r"\S+"), pa.int64()).to_numpy(
+        zero_copy_only=False)
+    n_nonspace = pc.cast(
+        pc.count_substring_regex(tc, r"\S"), pa.int64()).to_numpy(
+        zero_copy_only=False)
+    denom = np.maximum(n_tokens, 1)
+    mean_tok_len_c = (n_nonspace * 100) // denom
+    # top-word count per doc: whitespace-split list column → flatten +
+    # parent indices → dictionary-encode (word ids stay in Arrow; no
+    # Python strings) → bincount unique (doc, word) pairs → per-doc max
+    words = pc.utf8_split_whitespace(tc)
+    flat = pc.list_flatten(words).combine_chunks()
+    parent = pc.list_parent_indices(words).to_numpy(
+        zero_copy_only=False).astype(np.int64)
+    keep = pc.not_equal(flat, "")  # str.split() drops empty tokens
+    if isinstance(flat, pa.ChunkedArray):
+        flat = flat.combine_chunks()
+    codes_arr = pc.dictionary_encode(flat.filter(keep))
+    codes = codes_arr.indices.to_numpy(
+        zero_copy_only=False).astype(np.int64)
+    parent = parent[keep.to_numpy(zero_copy_only=False)]
+    top = np.zeros(n, np.int64)
+    if len(codes):
+        k = len(codes_arr.dictionary)
+        uk, cnt = np.unique(parent * k + codes, return_counts=True)
+        np.maximum.at(top, uk // k, cnt)
+    top_bp = top * 10000 // denom
+    preds, _ = _lang_predict(tc.to_pandas())
+    from ..functions.hashing import md5_hex_arrow
 
-    def __call__(self, t: pa.Table) -> pa.Table:
-        import numpy as np
-        import pyarrow.compute as pc
-
-        tc = t["text"]
-        n = len(tc)
-        # token/length stats straight off the Arrow buffers — no Python
-        # string materialization (the lone pandas Series below exists only
-        # because LangId.predict's stopword patterns are pandas str.count)
-        n_tokens = pc.cast(
-            pc.count_substring_regex(tc, r"\S+"), pa.int64()).to_numpy(
-            zero_copy_only=False)
-        n_nonspace = pc.cast(
-            pc.count_substring_regex(tc, r"\S"), pa.int64()).to_numpy(
-            zero_copy_only=False)
-        denom = np.maximum(n_tokens, 1)
-        mean_tok_len_c = (n_nonspace * 100) // denom
-        # top-word count per doc: whitespace-split list column → flatten +
-        # parent indices → dictionary-encode (word ids stay in Arrow; no
-        # Python strings) → bincount unique (doc, word) pairs → per-doc max
-        words = pc.utf8_split_whitespace(tc)
-        flat = pc.list_flatten(words).combine_chunks()
-        parent = pc.list_parent_indices(words).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        keep = pc.not_equal(flat, "")  # str.split() drops empty tokens
-        if isinstance(flat, pa.ChunkedArray):
-            flat = flat.combine_chunks()
-        codes_arr = pc.dictionary_encode(flat.filter(keep))
-        codes = codes_arr.indices.to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        parent = parent[keep.to_numpy(zero_copy_only=False)]
-        top = np.zeros(n, np.int64)
-        if len(codes):
-            k = len(codes_arr.dictionary)
-            uk, cnt = np.unique(parent * k + codes, return_counts=True)
-            np.maximum.at(top, uk // k, cnt)
-        top_bp = top * 10000 // denom
-        preds, _ = self.langid.predict(tc.to_pandas())
-        from ..functions.hashing import md5_hex_arrow
-
-        return pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "h": pa.array(md5_hex_arrow(t["text"]), pa.string()),
-                "n_tokens": pa.array(n_tokens, pa.int64()),
-                "mean_tok_len_c": pa.array(mean_tok_len_c, pa.int64()),
-                "top_word_frac_bp": pa.array(top_bp, pa.int64()),
-                "lang_pred": pa.array(preds.tolist(), pa.string()),
-            }
-        )
+    return pa.table(
+        {
+            "doc_id": t["doc_id"],
+            "h": pa.array(md5_hex_arrow(t["text"]), pa.string()),
+            "n_tokens": pa.array(n_tokens, pa.int64()),
+            "mean_tok_len_c": pa.array(mean_tok_len_c, pa.int64()),
+            "top_word_frac_bp": pa.array(top_bp, pa.int64()),
+            "lang_pred": pa.array(preds.tolist(), pa.string()),
+        }
+    )
 
 
 def _curation_decisions(sf_dir: str) -> rd.Dataset | None:
@@ -540,20 +527,18 @@ def _curation_decisions(sf_dir: str) -> rd.Dataset | None:
     an empty corpus."""
     from ray.data.aggregate import Min
 
-    from ._schema import auto_pool, heal_blocks
+    from ._schema import heal_blocks
 
     # heal: empty read splits leave schema-less blocks that poison the
     # sig⋈winners join below (pipelines/_schema.py)
     sig = heal_blocks(
         _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(_CurationSignals, batch_format="pyarrow",
-                     concurrency=auto_pool())
+        .map_batches(_curation_signals, batch_format="pyarrow")
     )
     if sig is None:
         return None
     sig = sig.materialize()  # consumed twice: winners pass + join
-    n_sig = sig.count()
-    n_part = max(2, min(1024, n_sig // 250_000 + 1))
+    n_part = _n_parts(sig.count(), floor=2)
 
     winners = heal_blocks(
         sig.select_columns(["h", "doc_id"])
@@ -645,7 +630,7 @@ def write_curated(sf_dir: str, out_dir: str) -> dict:
     if keep_ds is None:
         return {"kept": 0, "rejected": n_total, "out_dir": out_dir}
     n_keep = keep_ds.count()
-    n_part = max(2, min(1024, n_total // 250_000 + 1))
+    n_part = _n_parts(n_total, floor=2)
     (
         _docs(sf_dir)  # all columns — the kept docs ship whole
         .join(keep_ds, join_type="inner", num_partitions=n_part,
@@ -727,13 +712,12 @@ ORDER BY doc_id
 
 # ---------------------------------------------------------------------------
 # TF-IDF top terms per document (corpus statistics + per-doc ranking:
-# distributed document-frequency table, term join, co-partitioned
-# vectorized top-k — integer-scaled so DuckDB agrees bit-exactly)
+# one hash(term) co-partition yields doc frequencies AND per-partition
+# top-k — integer-scaled so DuckDB agrees bit-exactly)
 # ---------------------------------------------------------------------------
 
 TFIDF_TOP_K = 3
 TFIDF_SCALE = 10_000
-TFIDF_ROWS_PER_PARTITION = 250_000
 
 
 def tfidf_top_terms(sf_dir: str) -> pd.DataFrame:
@@ -741,15 +725,15 @@ def tfidf_top_terms(sf_dir: str) -> pd.DataFrame:
     (tf * SCALE * n_docs // (doc_freq * n_tok) — exact in both engines;
     no floating-point log, which is not bit-stable across libms).
 
-    Scale shape: one exploded (doc_id, term, tf, n_tok) pass (each doc
-    lives in exactly ONE input batch, so per-doc term counts are exact
-    per batch); document frequencies via per-batch partial counts → ONE
-    hash(term) co-partition + vectorized per-partition sum (partition =
-    global per term under co-location; Ray's native aggregate pays a
-    per-group-scale cost this avoids); a hash join on term sized by row
-    count; then the co-partition-by-doc_id pattern (bounded partition
-    count, one vectorized sort + groupby-head per partition — never one
-    Python call per doc)."""
+    Scale shape: one exploded (doc_id, term, tf, n_tok) pass — each doc
+    lives in exactly ONE input batch, so it yields exactly one row per
+    (doc, term) — then ONE hash(term) co-partition exchange. All rows of a
+    term share a partition, so a term's row count there IS its doc_freq;
+    each partition scores its rows and keeps a local top-k per doc, which
+    holds that partition's share of the doc's global top-k (the partial
+    top-k merge). The driver, which collects the result anyway, merges
+    the partials with the same total order — at most
+    min(tf rows, n_part × k × n_docs) rows reach it."""
     import numpy as np
 
     ds = _docs(sf_dir, ["doc_id", "text"])
@@ -775,89 +759,40 @@ def tfidf_top_terms(sf_dir: str) -> pd.DataFrame:
             }
         )
 
-    from ._schema import heal_blocks
+    order = dict(by=["doc_id", "tfidf_c", "term"],
+                 ascending=[True, False, True], kind="mergesort")
 
-    out_cols = {"doc_id": "int64", "term": "object", "tf": "int64",
-                "doc_freq": "int64", "tfidf_c": "int64"}
-    # heal: empty read splits / empty-text docs leave zero-row (sometimes
-    # schema-less) blocks that poison the join below (pipelines/_schema.py)
-    tf_ds = heal_blocks(ds.map_batches(explode_tf, batch_format="pyarrow"))
-    if n_docs == 0 or tf_ds is None:
-        return _empty_typed(out_cols)
-    tf_ds = tf_ds.materialize()  # consumed twice: doc_freq pass + join
+    def topk_part(g: pd.DataFrame) -> pa.Table:
+        dfq = g.groupby("term", sort=False)["term"].transform("size")
+        g = g.assign(
+            doc_freq=dfq,
+            tfidf_c=g["tf"] * TFIDF_SCALE * n_docs // (dfq * g["n_tok"]),
+        )
+        g = g.sort_values(**order).groupby("doc_id", sort=False).head(
+            TFIDF_TOP_K)
+        return pa.table(
+            {"doc_id": pa.array(g["doc_id"].to_numpy(np.int64)),
+             "term": pa.array(g["term"].astype(str), pa.string()),
+             "tf": pa.array(g["tf"].to_numpy(np.int64)),
+             "doc_freq": pa.array(g["doc_freq"].to_numpy(np.int64)),
+             "tfidf_c": pa.array(g["tfidf_c"].to_numpy(np.int64))})
+
+    tf_ds = ds.map_batches(explode_tf, batch_format="pyarrow").materialize()
     n_rows = tf_ds.count()
-    n_part = max(4, min(1024, n_rows // TFIDF_ROWS_PER_PARTITION + 1))
-
-    def partial_df(t: pa.Table) -> pa.Table:
-        # explicit Arrow types: an EMPTY pandas object column round-trips
-        # through from_pandas as Arrow null type, which crashes the hash
-        # shuffle aggregator on schema mismatch
-        g = (
-            pd.DataFrame({"term": t["term"].to_pandas()})
-            .groupby("term", sort=False).size().reset_index(name="pdf")
-        )
-        return pa.table(
-            {"term": pa.array(g["term"].astype(str), pa.string()),
-             "pdf": pa.array(g["pdf"].to_numpy(np.int64), pa.int64())}
-        )
-
-    def sum_term(g: pd.DataFrame) -> pa.Table:
-        agg = g.groupby("term", as_index=False, sort=False)["pdf"].sum()
-        return pa.table(
-            {"term": pa.array(agg["term"].astype(str), pa.string()),
-             "doc_freq": pa.array(agg["pdf"].to_numpy(np.int64),
-                                  pa.int64())})
-
-    # doc_freq: tf_ds has ONE row per (doc, term) → partial per-batch term
-    # counts shrink the shuffle to (term, pdf) before the co-partitioned
-    # sum. heal_blocks: map_groups leaves zero-row schema-less blocks for
-    # empty partitions, which poison the downstream join (_schema.py)
-    df_ds = heal_blocks(
-        tf_ds.map_batches(partial_df, batch_format="pyarrow")
-        .map_batches(_stamp_str_part("term", n_part), batch_format="pyarrow")
-        .groupby("part").map_groups(sum_term, batch_format="pandas"),
-        target_blocks=n_part,
-    )
-    if df_ds is None:
-        return _empty_typed(out_cols)
-
-    def score(t: pa.Table) -> pa.Table:
-        tf = t["tf"].to_numpy(zero_copy_only=False)
-        dfq = t["doc_freq"].to_numpy(zero_copy_only=False)
-        ntk = t["n_tok"].to_numpy(zero_copy_only=False)
-        did = t["doc_id"].to_numpy(zero_copy_only=False)
-        tfidf = tf * TFIDF_SCALE * n_docs // (dfq * ntk)
-        return pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "term": t["term"],
-                "tf": t["tf"],
-                "doc_freq": pa.array(dfq.astype(np.int64), pa.int64()),
-                "tfidf_c": pa.array(tfidf.astype(np.int64), pa.int64()),
-                "part": pa.array((did % n_part).astype(np.int64)),
-            }
-        )
-
-    def topk_part(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(
-            ["doc_id", "tfidf_c", "term"],
-            ascending=[True, False, True], kind="mergesort",
-        )
-        g = g.groupby("doc_id", sort=False).head(TFIDF_TOP_K)
-        return g[["doc_id", "term", "tf", "doc_freq", "tfidf_c"]].astype(
-            {"doc_id": "int64", "tf": "int64", "doc_freq": "int64",
-             "tfidf_c": "int64"}
-        )
-
+    if n_docs == 0 or n_rows == 0:
+        # the driver-side sort below would KeyError on the zero-column
+        # frame an all-empty Dataset collapses to
+        return _empty_typed({"doc_id": "int64", "term": "object",
+                             "tf": "int64", "doc_freq": "int64",
+                             "tfidf_c": "int64"})
+    n_part = _n_parts(n_rows)
     return (
-        tf_ds.join(df_ds, join_type="inner", num_partitions=n_part,
-                   on=("term",))
-        .map_batches(score, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(topk_part, batch_format="pandas")
+        tf_ds.map_batches(_stamp_str_part("term", n_part),
+                          batch_format="pyarrow")
+        .groupby("part").map_groups(topk_part, batch_format="pandas")
         .to_pandas()
-        .sort_values(["doc_id", "tfidf_c", "term"],
-                     ascending=[True, False, True])
+        .sort_values(**order)
+        .groupby("doc_id", sort=False).head(TFIDF_TOP_K)
         .reset_index(drop=True)
     )
 

@@ -152,14 +152,14 @@ def test_quantile_index_rule_matches_duckdb():
 
 
 def test_curation_signals_kernel_parity():
-    """The Arrow-native _CurationSignals kernel (count_substring_regex +
+    """The Arrow-native _curation_signals kernel (count_substring_regex +
     utf8_split_whitespace + dictionary_encode) must equal the straight
     pandas formulation on whitespace/empty/repeat corners — and be
     chunk-layout invariant."""
     import numpy as np
 
     from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.pipelines.text import (
-        _CurationSignals,
+        _curation_signals,
     )
 
     texts = ["hello world hello", "  a  b\tc\nc c  ", "", "one",
@@ -168,7 +168,7 @@ def test_curation_signals_kernel_parity():
              "\n\n\n", "w1 w2 w3 w1 w1 w1"]
     t = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
                   "text": pa.array(texts, pa.string())})
-    got = _CurationSignals()(t).to_pandas()
+    got = _curation_signals(t).to_pandas()
 
     s = pd.Series(texts, dtype=object)
     n_tokens = s.str.count(r"\S+").astype("int64")
@@ -189,4 +189,4 @@ def test_curation_signals_kernel_parity():
     assert (got["top_word_frac_bp"].to_numpy() == top_bp).all()
 
     chunked = pa.Table.from_batches(t.to_batches(max_chunksize=3))
-    assert _CurationSignals()(chunked).to_pandas().equals(got)
+    assert _curation_signals(chunked).to_pandas().equals(got)
