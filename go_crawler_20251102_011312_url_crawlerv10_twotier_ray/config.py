@@ -54,18 +54,14 @@ class CrawlConfig:
     # actor-pool size for the extract stage; None = stateless tasks
     extract_concurrency: int | None = None
     # fetch mode: "broadcast" (corpus index via ray.put — small corpora),
-    # "join" (Dataset.join on url — both sides huge), "scan" (stream the
+    # "join" (keys-first: frontier keys group by the corpus' persistent
+    # hash-bucket layout, each task reads its bucket's parquet locally;
+    # bodies never ride an exchange — both sides huge), "scan" (stream the
     # corpus + broadcast the scheduled-frontier index — the right 100 TB
     # shape when frontier ≪ corpus: bodies never shuffle and no process
     # holds the corpus), or "auto" (broadcast below broadcast_row_limit,
     # else join)
     fetch_mode: str = "auto"
-    # join-mode body access: "local" (keys-first — frontier keys shuffle
-    # into the corpus' persistent hash-bucket layout, each task reads its
-    # bucket's parquet locally; bodies NEVER ride the exchange) or
-    # "shuffle" (legacy Dataset.join — the whole corpus re-exchanges every
-    # epoch). Equality-tested twins; "local" is the 100 TB default.
-    join_strategy: str = "local"
     # above this many corpus rows, "auto" switches broadcast -> join
     broadcast_row_limit: int = 2_000_000
     # ---- real-network fetch (fetch_mode="http") ----
@@ -81,10 +77,6 @@ class CrawlConfig:
     http_client_factory: object = None
     # record the (epoch, rank, url) golden ordering trace (costs a sort)
     record_order: bool = True
-    # frontier rows above which scheduling (sort + per-host budget) runs as
-    # distributed Dataset ops (groupby(host).map_groups + sort) instead of
-    # driver-side pandas; semantics identical (tested with threshold=0)
-    frontier_distributed_threshold: int = 200_000
     # frontier representation: "driver" keeps the frontier as a pandas
     # DataFrame on the driver (deterministic rank trace, checkpointing);
     # "dataset" keeps it as a ray.data.Dataset END-TO-END — drain refs →

@@ -6,13 +6,15 @@ deterministic sequence of bounded Ray Data pipelines, one per epoch
 (SURVEY.md §2.8): the driver loop is the "stream", each epoch is
 
     frontier ──(sort + per-host politeness budget + seed-set revisit
-        marking, pandas below / Dataset ops above a size threshold)──▶
+        marking — driver pandas; the dataset-frontier loop runs the
+        same marking as Dataset ops)──▶
         scheduled | deferred
     scheduled ──map_batches(FetchAndExtract)──▶ fetched
-        [one fused stage: corpus lookup (zero-copy broadcast Arrow index or
-         Dataset.join), two-tier route+extract, candidate explosion with
-         partial dedup, and (norm, min-key) offers streamed to the sharded
-         seen actors — min is order-independent ⇒ deterministic]
+        [one fused stage: corpus lookup (zero-copy broadcast Arrow index,
+         keys-first bucket join or corpus scan), two-tier route+extract,
+         candidate explosion with partial dedup, and (norm, min-key)
+         offers streamed to the sharded seen actors — min is
+         order-independent ⇒ deterministic]
     seen.drain("norm") ──▶ survivors (next frontier)   [within-epoch dedup +
         cross-epoch anti-join commit, atomic per shard, no groupby shuffle]
     seen.drain("doc") ──▶ download tasks   [doc candidates ride the same
@@ -21,10 +23,10 @@ deterministic sequence of bounded Ray Data pipelines, one per epoch
 
 Scheduling state (the frontier) is URL rows only — thousands of times
 smaller than the page bodies, which stream through the fetch/extract/
-candidate stages without ever being materialized on the driver. The
-frontier itself is handled driver-side in Arrow/pandas below a size
-threshold and via distributed Dataset ops above it (same semantics; see
-``_schedule_pandas``); page-body stages are ALWAYS distributed.
+candidate stages without ever being materialized on the driver. This
+loop schedules the frontier driver-side in pandas (``_schedule_pandas``);
+the dataset-frontier loop (``frontier_mode="dataset"``) keeps it a
+Dataset end to end. Page-body stages are ALWAYS distributed.
 
 Determinism (matches oracle/crawl_sim.py — the shared spec):
 - epoch sort key (-priority, host, url_norm, url);
@@ -197,62 +199,6 @@ def _stamp_host_part(n_part: int):
     return fn
 
 
-def _schedule_distributed(
-    frontier: pd.DataFrame, budgets: dict[str, int], default_budget: int
-) -> tuple[pd.DataFrame, pd.DataFrame]:
-    """Distributed twin of _schedule_pandas for huge frontiers: rows
-    co-partition by hash(host), each partition marks its budgets in one
-    vectorized pass (_budget_mark_partition), then a distributed sort
-    gives the deterministic global order. Semantics identical to the
-    pandas path (equivalence-tested). NOTE: this driver-mode path still
-    funnels the scheduled frontier back into a driver pandas frame at the
-    end — dataset mode (frontier_mode="dataset") is the loop that keeps
-    the frontier distributed end-to-end; use it for truly huge frontiers."""
-
-    from functools import partial
-
-    mark = partial(_budget_mark_partition, budgets=budgets,
-                   default_budget=default_budget)
-
-    n_part = max(2, min(64, len(frontier) // 50_000 + 1))
-    ds = rd.from_pandas(frontier).repartition(n_part)
-    marked = (
-        ds.map_batches(_stamp_host_part(max(8, 4 * n_part)),
-                       batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(mark, batch_format="pandas")
-    )
-
-    def keep(flag: bool):
-        def fn(t: pa.Table) -> pa.Table:
-            return t.filter(pa.compute.equal(t["sched"], flag)).drop_columns(
-                ["sched", "part"]
-            )
-
-        return fn
-
-    sched_ds = marked.map_batches(keep(True), batch_format="pyarrow").sort(
-        ["priority", "host", "url_norm", "url"],
-        descending=[True, False, False, False],
-    )
-    scheduled_tbl = _collect(sched_ds)
-    deferred_tbl = _collect(marked.map_batches(keep(False), batch_format="pyarrow"))
-    scheduled = (
-        scheduled_tbl.to_pandas()[FRONTIER_COLS].reset_index(drop=True)
-        if scheduled_tbl is not None
-        else pd.DataFrame(columns=FRONTIER_COLS)
-    )
-    if deferred_tbl is not None:
-        deferred = deferred_tbl.to_pandas()[FRONTIER_COLS].sort_values(
-            ["priority", "host", "url_norm", "url"],
-            ascending=[False, True, True, True], kind="mergesort",
-        ).reset_index(drop=True)
-        deferred["priority"] = 1
-    else:
-        deferred = pd.DataFrame(columns=FRONTIER_COLS)
-    return scheduled, deferred
-
-
 # Epoch-wide candidate dedup key: "%09d\x1f%s" % (depth, url) — zero-padded
 # depth makes lexicographic min == min((depth, url)). The dedup itself is
 # fused into the seen shards (SeenShard.offer_min/drain_epoch): min is
@@ -302,56 +248,36 @@ def _accepted_to_table(accepted: pa.Table) -> pa.Table | None:
 
 def _join_fetched(marked_ds: rd.Dataset, pages_path: str, cfg: CrawlConfig,
                   seen_handles: list, robots_disallow: dict,
-                  epoch_token: str, n_parts: int) -> rd.Dataset:
-    """fetch_mode="join" body access, shared by both frontier loops.
-
-    join_strategy="local" (default): keys-first — the frontier (keys +
-    metadata, never bodies) shuffles into the corpus' persistent
-    hash-bucket layout and each task joins against its own bucket's
-    parquet in place (stages/fetch.LocalBucketJoin). "shuffle": legacy
-    Dataset.join that re-exchanges the whole corpus every epoch. The two
-    are output-equality-tested twins."""
-    from ..stages.fetch import ExtractJoined, LocalBucketJoin, add_fetch_key
+                  epoch_token: str) -> rd.Dataset:
+    """fetch_mode="join" body access, shared by both frontier loops:
+    keys-first — the frontier (keys + metadata, never bodies) shuffles into
+    the corpus' persistent hash-bucket layout and each task joins against
+    its own bucket's parquet in place (stages/fetch.LocalBucketJoin)."""
+    from ..sources.pages import bucketed_pages, key_bucket
+    from ..stages.fetch import LocalBucketJoin
 
     marked = marked_ds.map_batches(
         add_fetch_key, batch_format="pyarrow",
         batch_size=cfg.extract_batch_size,
     )
-    if cfg.join_strategy == "local":
-        from ..sources.pages import bucketed_pages, key_bucket
+    root, n_buckets = bucketed_pages(pages_path)
 
-        root, n_buckets = bucketed_pages(pages_path)
-
-        def stamp(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                "bucket",
-                pa.array(key_bucket(t["fetch_key"].to_pylist(), n_buckets)),
-            )
-
-        kern = LocalBucketJoin(root, cfg, seen_handles, robots_disallow,
-                               epoch_token)
-
-        def local_bucket_join(g: pa.Table) -> pa.Table:
-            return kern(g)
-
-        return (
-            marked.map_batches(stamp, batch_format="pyarrow")
-            .groupby("bucket")   # one call per BUCKET (~100k pages), not key
-            .map_groups(local_bucket_join, batch_format="pyarrow")
+    def stamp(t: pa.Table) -> pa.Table:
+        return t.append_column(
+            "bucket",
+            pa.array(key_bucket(t["fetch_key"].to_pylist(), n_buckets)),
         )
-    from ..sources.pages import read_pages
 
-    pages_ds = read_pages(pages_path, columns=["url", "html"]).map_batches(
-        lambda t: t.rename_columns(["fetch_key", "html"]),
-        batch_format="pyarrow",
-    )
-    joined = marked.join(
-        pages_ds, join_type="left_outer",
-        num_partitions=max(2, n_parts), on=("fetch_key",),
-    )
-    return joined.map_batches(
-        ExtractJoined(cfg, seen_handles, robots_disallow, epoch_token),
-        batch_format="pyarrow", batch_size=cfg.extract_batch_size,
+    kern = LocalBucketJoin(root, cfg, seen_handles, robots_disallow,
+                           epoch_token)
+
+    def local_bucket_join(g: pa.Table) -> pa.Table:
+        return kern(g)
+
+    return (
+        marked.map_batches(stamp, batch_format="pyarrow")
+        .groupby("bucket")   # one call per BUCKET (~100k pages), not key
+        .map_groups(local_bucket_join, batch_format="pyarrow")
     )
 
 
@@ -653,12 +579,7 @@ def run_crawl(
                     pd.DataFrame(columns=FRONTIER_COLS),
                 )
             else:
-                _sched_fn = (
-                    _schedule_distributed
-                    if len(frontier) > cfg.frontier_distributed_threshold
-                    else _schedule_pandas
-                )
-                scheduled, deferred = _sched_fn(
+                scheduled, deferred = _schedule_pandas(
                     frontier, host_budgets, cfg.default_host_budget
                 )
             order_tbl = pa.table(
@@ -726,7 +647,7 @@ def run_crawl(
             else:
                 fetched = _join_fetched(
                     sched_ds, pages_path, cfg, seen.handles(),
-                    robots_disallow, epoch_token, n_blocks,
+                    robots_disallow, epoch_token,
                 )
             _t = _tick("schedule", _t)
             # materialize barriers the epoch: every fetch task has extracted
@@ -1261,7 +1182,6 @@ def _run_crawl_dataset_frontier(
                     fetched = _join_fetched(
                         sched_ds, pages_path, cfg, seen.handles(),
                         robots_disallow, epoch_token,
-                        int(ray.cluster_resources().get("CPU", 8)),
                     ).materialize()
 
             _t = _tick("fetch+extract+offer", _t)
@@ -1639,11 +1559,6 @@ def _download_lane(new_tasks, pending_retry, cfg, mode, corpus_ref,
                     batch_format="pyarrow", concurrency=auto_pool(),
                 )
             )
-        elif mode == "join" and cfg.join_strategy == "shuffle":
-            # the legacy shuffle twin measures its own download path too —
-            # without this dispatch the shuffle bench leg would silently
-            # borrow the locality-bucket lookups
-            dl_out = _download_join(d_tbl, pages_path, cfg)
         else:
             dl_out = _download_local(d_tbl, pages_path, cfg)
         if dl_out is not None:
@@ -1668,10 +1583,9 @@ def _download_local(d_tbl: pa.Table, pages_path: str,
                     cfg: CrawlConfig) -> pa.Table | None:
     """Join/scan-mode download simulation via the corpus' hash-bucket
     layout: each task reads ONLY its doc keys' buckets' (url, blen)
-    columns — replacing the whole-corpus scan ``_download_join`` paid
-    every epoch (measured 5.4 s/epoch at sf0.1 for a few hundred docs).
-    Same left-outer semantics: a key absent from its bucket is a failed
-    download.
+    columns, never a whole-corpus scan (a scan measured 5.4 s/epoch at
+    sf0.1 for a few hundred docs). A key absent from its bucket is a
+    failed download.
 
     NO shuffle: the doc keys already live on the driver (the retry lane
     assembles them there), so bucket grouping is one driver-side argsort
@@ -1738,41 +1652,3 @@ def _download_local(d_tbl: pa.Table, pages_path: str,
         return pa.concat_tables(parts, promote_options="default")
 
     return _collect(d_ds.map_batches(fetch_blen, batch_format="pyarrow"))
-
-
-def _download_join(d_tbl: pa.Table, pages_path: str, cfg: CrawlConfig) -> pa.Table | None:
-    """Join-mode download simulation: anti/left join docs against the corpus
-    keyed on fetch_key (no process holds the corpus). Legacy twin of
-    ``_download_local`` (kept for the shuffle-strategy comparison)."""
-    fks = [fetch_key(u) or "" for u in d_tbl["url"].to_pylist()]
-    d_ds = rd.from_arrow(d_tbl.append_column("fetch_key", pa.array(fks, pa.string())))
-    from ..sources.pages import read_pages
-
-    pages_ds = read_pages(pages_path, columns=["url", "html"]).map_batches(
-        lambda t: pa.table({"fetch_key": t["url"],
-                            "blen": pa.compute.binary_length(t["html"])}),
-        batch_format="pyarrow",
-    )
-    joined = d_ds.join(pages_ds, join_type="left_outer", num_partitions=2,
-                       on=("fetch_key",))
-
-    def finish(batch: pa.Table) -> pa.Table:
-        urls = batch["url"].to_pylist()
-        blens = batch["blen"].to_pylist()
-        oks = [b is not None for b in blens]
-        return pa.table(
-            {
-                "url": batch["url"],
-                "depth": batch["depth"],
-                "attempt": batch["attempt"],
-                "ok": pa.array(oks, pa.bool_()),
-                "bytes": pa.array(
-                    [b if b is not None else 0 for b in blens], pa.int64()
-                ),
-                "filename": pa.array(
-                    [extract_filename(u) for u in urls], pa.string()
-                ),
-            }
-        )
-
-    return _collect(joined.map_batches(finish, batch_format="pyarrow"))

@@ -1076,10 +1076,6 @@ def _winnow_pairs_ds(
 # primitive a training-data pipeline runs after pair generation)
 # ---------------------------------------------------------------------------
 
-CLUSTER_SMALL_LIMIT = 5_000_000  # document rows below which union-find wins
-_CLUSTER_MAX_ITERS = 64          # label-prop bound (clusters are star-ish)
-
-
 def _md5_rows(t: pa.Table) -> pa.Table:
     return pa.table(
         {
@@ -1106,177 +1102,37 @@ def dedup_clusters(
     doc_id == cluster_id). Deterministic → full SQL value-hash oracle via
     a DuckDB recursive CTE (oracle/textops.py).
 
-    Size-adaptive on document count:
-    - driver tail: union-find with path compression over the (tiny) edge
-      list; edges came from distributed stages, texts never collected.
-    - distributed tail (100 TB path): iterative min-label propagation —
-      labels ⋈ edges → groupby(doc).min — which converges in O(component
-      diameter) rounds (star edges keep exact-dup components at diameter
-      ≤ 2). Each round shuffles only (doc_id, label) int64 pairs.
+    The edges come from distributed stages (texts are never collected);
+    ``mode`` selects the winnow pair tail (dedup_winnow_pairs). The
+    components are one min-id union-find over the edge list on the driver
+    (graph._components_driver): the result is one row per document, so it
+    is driver-resident anyway.
     """
-    from ray.data.aggregate import Count, Min
-
-    from .text import winnow_rows_batch
-
     from ._schema import heal_blocks
+    from .graph import _components_driver
 
-    docs = _docs(sf_dir, ["doc_id", "text"])
-    # heal: empty read splits produce schema-less blocks that poison the
-    # hashes⋈roots and fps self-joins below (pipelines/_schema.py)
-    hashes = heal_blocks(docs.map_batches(_md5_rows,
-                                          batch_format="pyarrow"))
+    cols = {"doc_id": "int64", "cluster_id": "int64",
+            "cluster_size": "int64", "keep": "bool"}
+    # heal: empty read splits produce schema-less blocks; None means an
+    # empty corpus (pipelines/_schema.py)
+    hashes = heal_blocks(_docs(sf_dir, ["doc_id", "text"])
+                         .map_batches(_md5_rows, batch_format="pyarrow"))
     if hashes is None:
-        # empty corpus: an all-empty materialized Dataset loses its schema
-        # (zero-column blocks crash joins) — return the typed frame early
-        return pd.DataFrame(
-            {c: pd.Series(dtype=t) for c, t in
-             [("doc_id", "int64"), ("cluster_id", "int64"),
-              ("cluster_size", "int64"), ("keep", "bool")]}
-        )
-    hashes = hashes.materialize()
-    n_docs = hashes.count()
-
-    distributed = mode == "distributed" or (
-        mode == "auto" and n_docs > CLUSTER_SMALL_LIMIT
+        return pd.DataFrame({c: pd.Series(dtype=t) for c, t in cols.items()})
+    hdf = hashes.to_pandas()
+    pairs = dedup_winnow_pairs(sf_dir, max_fp_freq, min_shared, mode=mode)
+    root_of_h = hdf.groupby("h")["doc_id"].transform("min")
+    star = hdf[root_of_h < hdf["doc_id"]]
+    edges = list(zip(star["doc_id"].tolist(),
+                     root_of_h[star.index].tolist())) + list(
+        zip(pairs["doc_a"].tolist(), pairs["doc_b"].tolist())
     )
-
-    def _finish(df: pd.DataFrame) -> pd.DataFrame:
-        sizes = df.groupby("cluster_id")["doc_id"].transform("size")
-        df = df.assign(cluster_size=sizes.astype("int64"),
-                       keep=(df["doc_id"] == df["cluster_id"]))
-        return (
-            df[["doc_id", "cluster_id", "cluster_size", "keep"]]
-            .astype({"doc_id": "int64", "cluster_id": "int64",
-                     "cluster_size": "int64", "keep": "bool"})
-            .sort_values("doc_id")
-            .reset_index(drop=True)
-        )
-
-    if not distributed:
-        ids = hashes.select_columns(["doc_id"]).to_pandas()["doc_id"].to_numpy()
-        pairs = dedup_winnow_pairs(sf_dir, max_fp_freq, min_shared,
-                                   mode="driver")
-        hdf = hashes.to_pandas()
-        root_of_h = hdf.groupby("h")["doc_id"].transform("min")
-        star = hdf[root_of_h < hdf["doc_id"]]
-        edges = list(zip(star["doc_id"], root_of_h[star.index])) + list(
-            zip(pairs["doc_a"], pairs["doc_b"])
-        )
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            r = x
-            while parent.get(r, r) != r:
-                r = parent[r]
-            while parent.get(x, x) != x:
-                parent[x], x = r, parent[x]
-            return r
-
-        for a, b in edges:
-            ra, rb = find(int(a)), find(int(b))
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        df = pd.DataFrame({"doc_id": ids})
-        df["cluster_id"] = [find(int(i)) for i in ids]
-        return _finish(df)
-
-    # ---- distributed tail: min-label propagation ----
-    # (the driver tail gets its pairs from dedup_winnow_pairs, which
-    # builds its own healed fps — only the distributed tail needs them)
-    fps = heal_blocks(docs.map_batches(winnow_rows_batch,
-                                       batch_format="pyarrow",
-                                       batch_size=256))
-    fps = fps.materialize() if fps is not None else None
-    n_part = _n_parts(n_docs)
-    roots = heal_blocks(
-        hashes.groupby("h").aggregate(Min("doc_id", alias_name="root")),
-        target_blocks=n_part,
-    )
-    exact_edges = (
-        hashes.join(roots, join_type="inner", num_partitions=n_part,
-                    on=("h",))
-        .filter(expr="root < doc_id")
-        .map_batches(
-            lambda t: pa.table({"a": t["doc_id"], "b": t["root"]}),
-            batch_format="pyarrow",
-        )
-    )
-    wp = (_winnow_pairs_ds(fps, max_fp_freq, min_shared)
-          if fps is not None else None)
-    edges = exact_edges
-    if wp is not None:
-        edges = edges.union(
-            wp.map_batches(
-                lambda t: pa.table({"a": t["doc_a"], "b": t["doc_b"]}),
-                batch_format="pyarrow",
-            )
-        )
-    bidir = (
-        edges.map_batches(
-            lambda t: pa.table({"src": t["a"], "dst": t["b"]}),
-            batch_format="pyarrow",
-        )
-        .union(edges.map_batches(
-            lambda t: pa.table({"src": t["b"], "dst": t["a"]}),
-            batch_format="pyarrow",
-        ))
-        .materialize()
-    )
-    labels = hashes.map_batches(
-        lambda t: pa.table({"doc_id": t["doc_id"], "label": t["doc_id"]}),
-        batch_format="pyarrow",
-    ).materialize()
-    if bidir.count() > 0:
-        converged = False
-        prev = labels.sum("label")
-        for _ in range(_CLUSTER_MAX_ITERS):
-            msg = (
-                bidir.join(
-                    labels.rename_columns({"doc_id": "src"}),
-                    join_type="inner", num_partitions=n_part, on=("src",),
-                )
-                .map_batches(
-                    lambda t: pa.table(
-                        {"doc_id": t["dst"], "label": t["label"]}
-                    ),
-                    batch_format="pyarrow",
-                )
-            )
-            labels = heal_blocks(
-                labels.union(msg)
-                .groupby("doc_id")
-                .aggregate(Min("label", alias_name="label")),
-                target_blocks=n_part,
-            ).materialize()
-            cur = labels.sum("label")
-            if cur == prev:  # labels only decrease ⇒ fixpoint reached
-                converged = True
-                break
-            prev = cur
-        if not converged:
-            # label-prop needs O(component diameter) rounds; exceeding the
-            # bound means labels are NOT yet minimal — fail loudly rather
-            # than return silently-wrong clusters
-            raise RuntimeError(
-                f"dedup_clusters: min-label propagation did not converge "
-                f"in {_CLUSTER_MAX_ITERS} rounds — a component's diameter "
-                "exceeds the bound; raise _CLUSTER_MAX_ITERS"
-            )
-    sizes = heal_blocks(
-        labels.groupby("label").aggregate(Count(alias_name="cluster_size")),
-        target_blocks=n_part,
-    )
-    out = (
-        labels.join(sizes, join_type="inner", num_partitions=n_part,
-                    on=("label",))
-        .rename_columns({"label": "cluster_id"})
-        .to_pandas()
-    )
-    out["keep"] = out["doc_id"] == out["cluster_id"]
+    df = pd.DataFrame({"doc_id": hdf["doc_id"]})
+    df["cluster_id"] = _components_driver(hdf["doc_id"].tolist(), edges)
+    sizes = df.groupby("cluster_id")["doc_id"].transform("size")
+    df = df.assign(cluster_size=sizes, keep=df["doc_id"] == df["cluster_id"])
     return (
-        out[["doc_id", "cluster_id", "cluster_size", "keep"]]
-        .astype({"doc_id": "int64", "cluster_id": "int64",
-                 "cluster_size": "int64", "keep": "bool"})
+        df[list(cols)].astype(cols)
         .sort_values("doc_id")
         .reset_index(drop=True)
     )
@@ -1295,12 +1151,11 @@ def dedup_keep_best(
     bit-stable across engines — quantize first if one is ever used here).
     Returns one row per document: (doc_id, cluster_id, n_tokens, keep).
 
-    Composes the distributed cluster labeling (dedup_clusters) with the
-    distributed token-count kernel (text.token_counts); the winner pick
-    itself is one vectorized sort + groupby-first over the per-doc label
-    frame both already return driver-side. At 100 TB the same selection
-    runs as a hash(cluster_id) co-partition + per-partition kernel (the
-    _stamp_pair_part pattern) over the label Dataset instead."""
+    Composes the cluster labeling (dedup_clusters: distributed edges, one
+    driver union-find) with the distributed token-count kernel
+    (text.token_counts); the winner pick itself is one vectorized sort +
+    groupby-first over the per-doc frames both already return
+    driver-side."""
     cl = dedup_clusters(sf_dir, max_fp_freq, min_shared)
     cols = {"doc_id": "int64", "cluster_id": "int64",
             "n_tokens": "int64", "keep": "bool"}

@@ -510,9 +510,9 @@ COMP_MAX_ITERS = 64            # ≥ any real component diameter; loud failure
 
 
 def _label_checksum_batch(t: pa.Table) -> pa.Table:
-    """Order-independent checksum partial over the label column (the
-    string analogue of dedup_clusters' sum(label) fixpoint probe):
-    vectorized per-row hashes, modular uint64 sum. Labels only ever
+    """Order-independent checksum partial over the label column (a
+    string label has no sum to probe): vectorized per-row hashes, modular
+    uint64 sum. Labels only ever
     DECREASE under min-propagation, so a stalled checksum means a
     fixpoint up to a 2^-64 collision — the join-free convergence test."""
     s = pd.Series(t["label"].to_pylist())
@@ -522,12 +522,13 @@ def _label_checksum_batch(t: pa.Table) -> pa.Table:
     return pa.table({"ck": pa.array([int(total) - 2**63], pa.int64())})
 
 
-def _components_driver(nodes: list[str], edge_pairs) -> list[str]:
-    """min-id union-find with path compression (pure function — property-
-    tested against a naive BFS on random graphs)."""
-    parent: dict[str, str] = {}
+def _components_driver(nodes: list, edge_pairs) -> list:
+    """min-id union-find with path compression over any ordered node type
+    (URL strings here, doc ids in dedup.dedup_clusters) — pure function,
+    property-tested against a naive BFS on random graphs."""
+    parent: dict = {}
 
-    def find(x: str) -> str:
+    def find(x):
         r = x
         while parent.get(r, r) != r:
             r = parent[r]
@@ -546,9 +547,8 @@ def link_components(sf_dir: str, mode: str = "auto") -> pd.DataFrame:
     """(url_norm, component_id, component_size): undirected connected
     components of the link graph; component_id = lexicographically
     smallest url_norm in the component (ASCII URLs ⇒ Python/pandas/DuckDB
-    string mins agree). Size-adaptive twins like dedup_clusters: driver
-    union-find below COMP_SMALL_LIMIT edges; distributed min-label
-    propagation above (labels ⋈ bidirectional edges → groupby-min per
+    string mins agree). Size-adaptive twins: driver union-find below
+    COMP_SMALL_LIMIT edges; distributed min-label propagation above (labels ⋈ bidirectional edges → groupby-min per
     round, O(diameter) rounds, fixpoint detected by an order-independent
     label checksum, loud failure at COMP_MAX_ITERS)."""
     from ray.data.aggregate import Min

@@ -80,8 +80,8 @@ def bucketed_pages(corpus_dir: str) -> tuple[str, int]:
     re-written into ``<corpus>/pages_by_key-vN/bucket=K/`` — ONE parquet
     file per bucket, ``_SUCCESS``-last so a killed layout job is invisible.
 
-    This is the locality half of the keys-first join (fetch_mode="join",
-    join_strategy="local"): per epoch only the frontier KEYS shuffle into
+    This is the locality half of the keys-first join (fetch_mode="join"):
+    per epoch only the frontier KEYS shuffle into
     this bucketing, each fetch task reads its own bucket's file, and page
     bodies never ride an all-to-all exchange. Amortized once per corpus
     across every subsequent epoch/run. Returns (root, n_buckets)."""

@@ -44,6 +44,7 @@ import ray.data as rd
 WARC_DATE_DEFAULT = "2026-01-01T00:00:00Z"  # pinned: deterministic output
 _CRLF = b"\r\n"
 MANIFEST = "manifest.json"
+_WARC_SCHEMA = pa.schema([("url", pa.string()), ("html", pa.binary())])
 
 
 def _response_record(url: str, html: bytes, date: str) -> bytes:
@@ -82,9 +83,12 @@ def write_warc(ds: rd.Dataset, out_dir: str,
     """Write (url, html) rows as one WARC file per block task —
     ``compress=True`` writes ``.warc.gz`` with one gzip member per record
     (the Common Crawl interchange layout). Returns the number of records
-    written. File names are content-hashed (md5 of the member URLs); the
-    closing manifest removes parts any PRIOR layout left behind, so the
-    sink is idempotent under re-runs with different blocking."""
+    written. File names are content-hashed (md5 of the file's bytes, so
+    two blocks with the same URLs but different bodies get two files);
+    the closing manifest removes parts any PRIOR layout left behind, so
+    the sink is idempotent under re-runs with different blocking. Two
+    byte-identical blocks share one file, and the manifest counts its
+    records once."""
     os.makedirs(out_dir, exist_ok=True)
     ext = ".warc.gz" if compress else ".warc"
 
@@ -103,7 +107,7 @@ def write_warc(ds: rd.Dataset, out_dir: str,
             payload = b"".join(_gzip_member(r) for r in records)
         else:
             payload = b"".join(records)
-        tag = hashlib.md5("\n".join(urls).encode()).hexdigest()[:16]
+        tag = hashlib.md5(payload).hexdigest()[:16]
         name = f"part-{tag}{ext}"
         path = os.path.join(out_dir, name)
         tmp = path + ".tmp"
@@ -114,7 +118,9 @@ def write_warc(ds: rd.Dataset, out_dir: str,
                          "records": pa.array([len(urls)], pa.int64())})
 
     parts = ds.map_batches(dump, batch_format="pyarrow").take_all()
-    written = {r["file"] for r in parts}
+    # file -> records: byte-identical blocks wrote one file between them
+    written = {r["file"]: r["records"] for r in parts}
+    n_records = int(sum(written.values()))
     # Commit order matters for kill-safety: the manifest must point at the
     # NEW (already fully-written) parts before anything is deleted, and the
     # manifest swap itself must be atomic — a writer killed at any point
@@ -123,8 +129,7 @@ def write_warc(ds: rd.Dataset, out_dir: str,
     mpath = os.path.join(out_dir, MANIFEST)
     mtmp = mpath + ".tmp"
     with open(mtmp, "w") as f:
-        json.dump({"files": sorted(written),
-                   "records": int(sum(r["records"] for r in parts))}, f)
+        json.dump({"files": sorted(written), "records": n_records}, f)
     os.replace(mtmp, mpath)
     # a prior run with a different block layout (or compression mode)
     # hashed to different file names — purge anything this run did not
@@ -133,7 +138,7 @@ def write_warc(ds: rd.Dataset, out_dir: str,
         if os.path.basename(p) not in written:
             os.remove(p)
     open(os.path.join(out_dir, "_SUCCESS"), "w").close()
-    return int(sum(r["records"] for r in parts))
+    return n_records
 
 
 def _parse_warc_bytes(data: bytes) -> list[tuple[str, bytes]]:
@@ -195,7 +200,9 @@ def _warc_paths(path: str) -> list[str] | str:
 def read_warc(path: str) -> rd.Dataset:
     """Dataset of (url, html) from a WARC file or directory of WARC files
     (plain and per-record-gzipped ``.warc.gz`` members, freely mixed).
-    One Ray read task per file; parsing happens in the map task."""
+    One Ray read task per file; parsing happens in the map task. An
+    archive with no files (an empty directory, or a manifest listing
+    none) reads as a typed empty dataset."""
 
     def parse(t: pa.Table) -> pa.Table:
         urls: list[str] = []
@@ -204,10 +211,11 @@ def read_warc(path: str) -> rd.Dataset:
             for u, b in _parse_warc_bytes(data):
                 urls.append(u)
                 bodies.append(b)
-        return pa.table(
-            {"url": pa.array(urls, pa.string()),
-             "html": pa.array(bodies, pa.binary())}
-        )
+        return pa.table([pa.array(urls, pa.string()),
+                         pa.array(bodies, pa.binary())], schema=_WARC_SCHEMA)
 
-    return rd.read_binary_files(_warc_paths(path)).map_batches(
+    paths = _warc_paths(path)
+    if not paths:
+        return rd.from_arrow(_WARC_SCHEMA.empty_table())
+    return rd.read_binary_files(paths).map_batches(
         parse, batch_format="pyarrow")

@@ -7,16 +7,19 @@ page's ``fetch_key`` in the Parquet pages corpus (BASELINE input_hint) and
 the extract is the same RouteAndExtract kernel — fused into ONE map_batches
 stage so page bodies never make a second trip through the object store.
 
-Two corpus access modes (cfg.fetch_mode):
+Corpus access modes (cfg.fetch_mode; ``http`` fetches live URLs instead):
 
 - ``broadcast``: the url→html index is ``ray.put`` ONCE on the driver; each
   actor materializes it in ``__init__`` (once per actor, not per batch).
   Right for corpora that fit a worker's heap — e.g. test fixtures, or a
   per-host shard of a larger corpus.
-- ``join``: ``Dataset.join`` of the scheduled frontier against the pages
-  table on the fetch key (hash-partitioned shuffle) followed by
-  ``ExtractJoined`` — the 100 TB path; no single process ever holds the
-  corpus.
+- ``join``: keys-first locality join — the scheduled frontier (keys +
+  metadata, never bodies) groups by the corpus' persistent hash bucket and
+  each task attaches html from its own bucket's parquet
+  (``LocalBucketJoin``), then runs ``ExtractJoined`` — the 100 TB path; no
+  single process ever holds the corpus.
+- ``scan``: stream the corpus against a broadcast index of the scheduled
+  frontier (``ScanFetch``) — right when frontier ≪ corpus.
 
 Raw-URL revisit filtering (colly's internal storage, T2 —
 crawler_twotier.go:200) arrives as a precomputed ``revisit`` column: a
@@ -358,8 +361,7 @@ class ScanFetch:
     index), attach their html, and run the join-mode extract kernel.
 
     The right fetch shape when frontier ≪ corpus: page bodies never
-    shuffle (unlike the hash join, which re-exchanges the whole corpus
-    every epoch) and no process holds the corpus (unlike broadcast mode).
+    shuffle and no process holds the corpus (unlike broadcast mode).
     Scheduled keys absent from the entire corpus never appear in the scan —
     the CALLER must synthesize their 404/304 rows (misses = scheduled ∖
     fetched urls)."""
@@ -495,16 +497,16 @@ class HttpFetch:
 
 
 class LocalBucketJoin:
-    """Keys-first locality join (fetch_mode="join", join_strategy="local"):
+    """Keys-first locality join (fetch_mode="join"):
     called once per BUCKET group after the frontier (keys + metadata only —
     never bodies) shuffles into the corpus' persistent hash-bucket layout
     (sources/pages.bucketed_pages). The task reads its own bucket's parquet
     file, attaches html by dict lookup (left-outer: misses → null → 404 in
     ExtractJoined), and runs the shared extract+offer kernel in place.
 
-    vs the shuffle join: page bodies never ride the all-to-all exchange —
-    at 100 TB the exchange moves only the per-epoch frontier keys, and
-    buckets no frontier row hashes into are never read at all."""
+    Page bodies never ride an all-to-all exchange — at 100 TB the exchange
+    moves only the per-epoch frontier keys, and buckets no frontier row
+    hashes into are never read at all."""
 
     def __init__(self, bucket_root: str, cfg: CrawlConfig,
                  seen_handles: list, robots_disallow: dict | None = None,
@@ -538,8 +540,9 @@ class LocalBucketJoin:
 
 
 class ExtractJoined:
-    """Join-mode stage 2: after the left-outer corpus join, turn the
-    (nullable) html column into statuses, extract, and offer candidates."""
+    """Shared extract stage after a left-outer corpus lookup (the join-mode
+    bucket join and the scan-mode miss rows): turn the (nullable) html
+    column into statuses, extract, and offer candidates."""
 
     def __init__(self, cfg: CrawlConfig, seen_handles: list,
                  robots_disallow: dict | None = None, epoch_token: str = ""):

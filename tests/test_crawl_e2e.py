@@ -129,8 +129,8 @@ def test_crawl_with_robots(tiny_corpus_dir):
 
 @pytest.mark.usefixtures("ray_session")
 def test_crawl_join_mode(tiny_corpus_dir):
-    """Dataset.join fetch path (both sides huge: no process holds the
-    corpus) must be semantically identical to broadcast mode."""
+    """Keys-first bucket-join fetch path (both sides huge: no process
+    holds the corpus) must be semantically identical to broadcast mode."""
     cfg = CrawlConfig(fetch_mode="join")
     o = crawl_sim.crawl(load_corpus_dict(tiny_corpus_dir), _seeds(tiny_corpus_dir),
                         CrawlConfig())
@@ -545,18 +545,6 @@ def test_checkpoint_resume(tiny_corpus_dir, tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_crawl_join_shuffle_strategy(tiny_corpus_dir):
-    """The legacy shuffle join (whole corpus re-exchanged) must equal the
-    oracle too — it is the equality twin of the default local bucket
-    join."""
-    cfg = CrawlConfig(fetch_mode="join", join_strategy="shuffle")
-    o = crawl_sim.crawl(load_corpus_dict(tiny_corpus_dir),
-                        _seeds(tiny_corpus_dir), CrawlConfig())
-    e = run_crawl(tiny_corpus_dir, cfg)
-    assert_matches_oracle(e, o)
-
-
-@pytest.mark.usefixtures("ray_session")
 def test_dataset_frontier_join_local(tiny_corpus_dir):
     """Keys-first locality join in the dataset-frontier loop (the 100 TB
     both-sides-huge shape): counters must equal the broadcast-mode run."""
@@ -568,7 +556,7 @@ def test_dataset_frontier_join_local(tiny_corpus_dir):
     local = run_crawl(
         tiny_corpus_dir,
         CrawlConfig(record_order=False, frontier_mode="dataset",
-                    fetch_mode="join", join_strategy="local"),
+                    fetch_mode="join"),
         collect=False,
     )
     assert local.n_epochs == base.n_epochs

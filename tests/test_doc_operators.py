@@ -57,11 +57,15 @@ def test_document_ops_start_no_actor():
     Dataset.join (whose hash shuffle starts aggregator actors per call)."""
     from ray._private.state import actors
 
-    for name in NO_ACTOR_OPS:
-        _op(name)(SF_DIR)
-    for name in NO_ACTOR_OPS:
+    calls = [(name, _op(name)) for name in NO_ACTOR_OPS] + [
+        ("dedup_clusters(mode='distributed')",
+         lambda sf: dedup.dedup_clusters(sf, mode="distributed")),
+    ]
+    for _name, call in calls:
+        call(SF_DIR)
+    for name, call in calls:
         before = set(actors())
-        _op(name)(SF_DIR)
+        call(SF_DIR)
         assert set(actors()) == before, name
 
 

@@ -253,35 +253,6 @@ def test_checkpoint_atomicity(tmp_path):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_schedule_distributed_equivalence():
-    """The distributed frontier scheduler must produce exactly the pandas
-    scheduler's output (order included)."""
-    from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.pipelines.crawl import (
-        _schedule_distributed,
-        _schedule_pandas,
-    )
-
-    rng = np.random.RandomState(5)
-    hosts = [f"h{i}.test" for i in range(6)]
-    rows = []
-    for i in range(500):
-        h = hosts[rng.randint(len(hosts))]
-        u = f"http://{h}/p{rng.randint(200)}?v={i}"
-        rows.append(
-            {"url": u, "url_norm": u.split("?")[0].lower(), "host": h,
-             "depth": int(rng.randint(5)), "priority": int(rng.randint(2))}
-        )
-    df = pd.DataFrame(rows).drop_duplicates("url").reset_index(drop=True)
-    budgets = {"h0.test": 7, "h1.test": 3}
-    sp, dp = _schedule_pandas(df, budgets, 20)
-    sd, dd = _schedule_distributed(df, budgets, 20)
-    pd.testing.assert_frame_equal(sp, sd)
-    pd.testing.assert_frame_equal(
-        dp.reset_index(drop=True), dd.reset_index(drop=True)
-    )
-
-
-@pytest.mark.usefixtures("ray_session")
 def test_offer_fence_raises_loudly_on_stalled_stream():
     """The fire-and-forget offer fence must be a STALL timeout, not
     silence: if fewer offers arrive than the fetch tasks reported sending

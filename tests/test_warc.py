@@ -142,3 +142,53 @@ def test_warc_stale_parts_and_tmp_leftovers_excluded(warc_corpus, tmp_path):
         f.write(b"WARC/1.0\r\ngarbage")
     back = {r["url"]: r["html"] for r in warc.read_warc(out).take_all()}
     assert back == orig  # no duplicates/phantoms from the first layout
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_read_warc_empty_archive_is_typed_empty(tmp_path):
+    """An archive with no files reads as an empty (url: string,
+    html: binary) dataset — both an empty directory and a manifest that
+    lists no files (what write_warc leaves for an empty input)."""
+    import json
+
+    import pyarrow as pa
+
+    empty_dir = tmp_path / "empty"
+    empty_dir.mkdir()
+    listed_none = tmp_path / "listed_none"
+    listed_none.mkdir()
+    with open(listed_none / warc.MANIFEST, "w") as f:
+        json.dump({"files": [], "records": 0}, f)
+    for d in (empty_dir, listed_none):
+        ds = warc.read_warc(str(d))
+        assert ds.count() == 0
+        assert ds.schema().names == ["url", "html"]
+        assert list(ds.schema().types) == [pa.string(), pa.binary()]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_warc_same_urls_different_bodies_get_own_parts(tmp_path):
+    """Two blocks holding the same URLs with different bodies write two
+    part files (the name hashes the bytes, not only the URLs), and every
+    record reads back."""
+    import json
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    urls = ["http://a.test/1", "http://a.test/2"]
+    blocks = [
+        pa.table({"url": urls, "html": [b"<p>one</p>", b"<p>two</p>"]}),
+        pa.table({"url": urls, "html": [b"<p>uno</p>", b"<p>dos</p>"]}),
+    ]
+    out = str(tmp_path / "warc")
+    assert warc.write_warc(rd.from_arrow(blocks), out) == 4
+    with open(os.path.join(out, warc.MANIFEST)) as f:
+        manifest = json.load(f)
+    assert len(manifest["files"]) == 2 and manifest["records"] == 4
+    back = sorted((r["url"], r["html"])
+                  for r in warc.read_warc(out).take_all())
+    want = sorted((u, h) for t in blocks
+                  for u, h in zip(t["url"].to_pylist(),
+                                  t["html"].to_pylist()))
+    assert back == want
