@@ -40,7 +40,9 @@ from __future__ import annotations
 
 import os
 import sys
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +50,7 @@ import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data as rd
+from ray.data.dataset import MaterializedDataset
 
 from ..config import CrawlConfig
 from ..functions.urlnorm import fetch_key, host_of, normalize_url
@@ -281,7 +284,11 @@ def _join_fetched(marked_ds: rd.Dataset, pages_path: str, cfg: CrawlConfig,
     )
 
 
-def _collect(ds: rd.Dataset) -> pa.Table:
+def _collect(ds: rd.Dataset) -> pa.Table | None:
+    """All rows of ``ds`` on the driver, running its plan exactly once.
+    Not ``to_arrow_refs()``: in Ray 2.49 it runs an unmaterialized plan
+    for the blocks and then again for ``schema(fetch_if_missing=True)``.
+    A materialized dataset's block refs are read as they are."""
     def to_table(t):
         if isinstance(t, pa.Table):
             return t
@@ -289,17 +296,72 @@ def _collect(ds: rd.Dataset) -> pa.Table:
             return pa.Table.from_pandas(t, preserve_index=False)
         return pa.Table.from_batches([t])
 
-    tables = [to_table(t) for t in ray.get(ds.to_arrow_refs())]
+    if not isinstance(ds, MaterializedDataset):
+        ds = ds.materialize()
+    refs = [r for b in ds.iter_internal_ref_bundles() for r in b.block_refs]
+    tables = [to_table(t) for t in ray.get(refs)]
     tables = [t for t in tables if t.num_rows]
     if not tables:
         return None
     return pa.concat_tables(tables, promote_options="permissive")
 
 
+# Broadcast corpora of this process, least recently used first:
+# pages dir -> (Ray session, pages stamp, ref, bytes). One entry per pages
+# directory (a new stamp replaces it), all dropped when the session
+# changes, and at most a quarter of the object store held in all.
+_CORPUS_REFS: OrderedDict[str, tuple] = OrderedDict()
+_CORPUS_LOCK = threading.Lock()
+
+
+def _pages_stamp(pages_path: str) -> tuple:
+    """(path, size, mtime_ns) of every parquet file under ``pages_path``:
+    a corpus rewritten in place gets a new stamp."""
+    files = []
+    for root, _dirs, names in os.walk(pages_path):
+        for name in names:
+            if name.endswith(".parquet"):
+                p = os.path.join(root, name)
+                st = os.stat(p)
+                files.append((p, st.st_size, st.st_mtime_ns))
+    return tuple(sorted(files))
+
+
+def _corpus_broadcast(pages_path: str):
+    """The (url, html) corpus table in the object store, put once per Ray
+    session and pages stamp and reused by later crawls: a fresh
+    ``ray.put`` per call lands on fresh object-store pages, which the
+    driver maps and keeps (its shared RSS grew by the corpus size with
+    every call). NO combine_chunks: per-row chunked access costs the same
+    (~18 µs), while combining 2.4 GB of binary chunks measured 2-9 s of
+    pure allocator churn in a warm session."""
+    import pyarrow.parquet as pq
+
+    from ..stages.seen import ray_session_id
+
+    key = os.path.abspath(pages_path)
+    session, stamp = ray_session_id(), _pages_stamp(pages_path)
+    with _CORPUS_LOCK:
+        if any(e[0] != session for e in _CORPUS_REFS.values()):
+            _CORPUS_REFS.clear()
+        hit = _CORPUS_REFS.pop(key, None)
+        if hit is not None and hit[1] == stamp:
+            _CORPUS_REFS[key] = hit  # now the most recently used
+            return hit[2]
+        t = pq.read_table(pages_path, columns=["url", "html"])
+        ref, nbytes = ray.put(t), t.nbytes
+        del t
+        _CORPUS_REFS[key] = (session, stamp, ref, nbytes)
+        budget = ray.cluster_resources().get("object_store_memory", 0) / 4
+        while sum(e[3] for e in _CORPUS_REFS.values()) > budget:
+            _CORPUS_REFS.popitem(last=False)
+    return ref
+
+
 class DownloadSim:
-    """Simulated document downloader (broadcast corpus mode): success iff
-    the fetch key exists in the corpus, else cfg.max_retries failed attempts
-    (downloader.go:153-179)."""
+    """Simulated document downloader (broadcast corpus mode, called in the
+    driver by ``_download_lane``): success iff the fetch key exists in the
+    corpus, else cfg.max_retries failed attempts (downloader.go:153-179)."""
 
     def __init__(self, cfg: CrawlConfig, corpus_ref):
         self.cfg = cfg
@@ -387,7 +449,6 @@ def run_crawl(
     max_epochs: int | None = None,
     resume: bool = False,
     collect: bool = True,
-    corpus_ref=None,
     seen_sink: str | None = None,
     extracted_sink: str | None = None,
 ) -> CrawlRunResult:
@@ -404,8 +465,9 @@ def run_crawl(
     ``collect=False`` keeps page-scale outputs distributed (extracted rows
     are written per-epoch via ``Dataset.write_parquet`` when a checkpoint
     dir is set, or just counted) — the 100 TB mode; the driver only ever
-    holds frontier rows and counters. ``corpus_ref`` lets callers reuse an
-    already-broadcast corpus table (e.g. across bench runs)."""
+    holds frontier rows and counters. Broadcast mode puts the corpus in
+    the object store once per Ray session and corpus stamp
+    (``_corpus_broadcast``), so back-to-back crawls share it."""
     import pyarrow.parquet as pq
 
     cfg = cfg or CrawlConfig()
@@ -435,21 +497,16 @@ def run_crawl(
                   f"{_time0.time():.3f}", file=_sys0.stderr, flush=True)
         _setup_t = _time0.perf_counter()
 
-    import pyarrow.dataset as pads
-
-    n_corpus_rows = pads.dataset(pages_path).count_rows()
     mode = cfg.fetch_mode
     if mode == "auto":
+        import pyarrow.dataset as pads
+
+        n_corpus_rows = pads.dataset(pages_path).count_rows()
         mode = "broadcast" if n_corpus_rows <= cfg.broadcast_row_limit else "join"
 
-    if mode == "broadcast" and corpus_ref is None:
-        # broadcast as an Arrow table: zero-copy page bytes in plasma,
-        # shared by every worker process (stages/fetch.cached_corpus_index).
-        # NO combine_chunks: per-row chunked access costs the same (~18 µs),
-        # while combining 2.4 GB of binary chunks measured 2-9 s of pure
-        # allocator churn in a warm session
-        t = pq.read_table(pages_path, columns=["url", "html"])
-        corpus_ref = ray.put(t)
+    # broadcast as an Arrow table: zero-copy page bytes in plasma, shared
+    # by every worker process (stages/fetch.cached_corpus_index)
+    corpus_ref = _corpus_broadcast(pages_path) if mode == "broadcast" else None
     _setup_tick("corpus-broadcast")
 
     # dataset-frontier dispatch: the steady/scale loop keeps the frontier
@@ -1539,14 +1596,10 @@ def _download_lane(new_tasks, pending_retry, cfg, mode, corpus_ref,
             }
         )
         if mode == "broadcast":
-            d_ds = rd.from_arrow(d_tbl)  # ONE block — split before mapping
-            if d_tbl.num_rows > 16384:
-                d_ds = d_ds.repartition(max(2, d_tbl.num_rows // 8192))
-            dl_out = _collect(
-                d_ds.map_batches(
-                    DownloadSim(cfg, corpus_ref), batch_format="pyarrow",
-                )
-            )
+            # in the driver, like scan mode's miss rows: a corpus-index
+            # lookup per url, microseconds against a Ray Data job's launch
+            # (the driver's ray.get of the corpus is zero-copy)
+            dl_out = DownloadSim(cfg, corpus_ref)(d_tbl)
         elif mode == "http":
             from ._schema import auto_pool
 

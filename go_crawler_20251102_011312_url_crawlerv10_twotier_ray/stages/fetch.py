@@ -9,8 +9,9 @@ stage so page bodies never make a second trip through the object store.
 
 Corpus access modes (cfg.fetch_mode; ``http`` fetches live URLs instead):
 
-- ``broadcast``: the url→html index is ``ray.put`` ONCE on the driver; each
-  actor materializes it in ``__init__`` (once per actor, not per batch).
+- ``broadcast``: the (url, html) table is ``ray.put`` once per Ray session
+  and corpus stamp on the driver; each worker process builds its url→row
+  index once per corpus (``cached_corpus_index``, not per batch).
   Right for corpora that fit a worker's heap — e.g. test fixtures, or a
   per-host shard of a larger corpus.
 - ``join``: keys-first locality join — the scheduled frontier (keys +
@@ -38,6 +39,8 @@ replaces a whole per-epoch candidates pipeline.
 """
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 import pyarrow as pa
 import ray
@@ -144,18 +147,28 @@ def _set_counter(out: pa.Table, name: str, n_sent: int) -> pa.Table:
     return out.set_column(out.schema.get_field_index(name), name, col)
 
 
-# Per-worker-process cache for broadcast objects: a stateless map_batches
-# task re-runs in a reusable worker process, so ray.get of the broadcast
-# ref happens once per process, not once per task/batch. This keeps the
-# fetch stage as cheap tasks (no per-epoch actor-pool startup) while still
-# amortizing the corpus-index load.
-_WORKER_CACHE: dict[str, object] = {}
+# Per-process cache for broadcast objects: a stateless map_batches task
+# re-runs in a reusable worker process, so ray.get of the broadcast ref
+# happens once per process, not once per task/batch. This keeps the fetch
+# stage as cheap tasks (no per-epoch actor-pool startup) while still
+# amortizing the corpus-index load. Both caches are bounded: an entry is a
+# zero-copy hold on its object-store pages, so an unbounded cache pins
+# every earlier call's broadcasts in every worker (and in the driver).
+# ``_CORPUS_INDEX`` keeps ONE corpus (a new corpus ref drops the old table
+# and index); ``_WORKER_CACHE`` keeps the ``BROADCAST_CACHE_MAX`` most
+# recently used other broadcasts (no call uses more than 3 at once).
+BROADCAST_CACHE_MAX = 8
+_WORKER_CACHE: OrderedDict[str, object] = OrderedDict()
+_CORPUS_INDEX: dict[str, tuple] = {}
 
 
 def cached_broadcast(ref):
     key = ref.hex()
     if key not in _WORKER_CACHE:
         _WORKER_CACHE[key] = ray.get(ref)
+        while len(_WORKER_CACHE) > BROADCAST_CACHE_MAX:
+            _WORKER_CACHE.popitem(last=False)
+    _WORKER_CACHE.move_to_end(key)
     return _WORKER_CACHE[key]
 
 
@@ -169,15 +182,16 @@ def cached_corpus_index(ref):
     import numpy as np
     import pyarrow.compute as pc
 
-    key = ref.hex() + ":idx"
-    if key not in _WORKER_CACHE:
-        tbl = cached_broadcast(ref)
+    key = ref.hex()
+    if key not in _CORPUS_INDEX:
+        _CORPUS_INDEX.clear()  # release the old corpus before mapping this
+        tbl = ray.get(ref)
         idx = {u: i for i, u in enumerate(tbl["url"].to_pylist())}
         lens = np.concatenate(
             [pc.binary_length(c).to_numpy() for c in tbl["html"].chunks]
         ).astype(np.int64) if tbl.num_rows else np.zeros(0, np.int64)
-        _WORKER_CACHE[key] = (idx, tbl["html"], lens)
-    return _WORKER_CACHE[key]
+        _CORPUS_INDEX[key] = (idx, tbl["html"], lens)
+    return _CORPUS_INDEX[key]
 
 
 def corpus_lookup(ref, fk: str | None) -> bytes | None:

@@ -136,7 +136,7 @@ _FREE: dict[tuple, list[tuple[list, str]]] = {}
 _FREE_LOCK = threading.Lock()
 
 
-def _session() -> tuple[str, str]:
+def ray_session_id() -> tuple[str, str]:
     """Identity of the Ray session this process is connected to: a new
     local cluster has a new node id, a reconnect has a new job id."""
     ctx = ray.get_runtime_context()
@@ -151,7 +151,7 @@ class ShardedSeen:
             cpus = int(ray.cluster_resources().get("CPU", 4))
             n_shards = max(1, cpus // 4)
         self.n_shards = n_shards
-        session = _session()
+        session = ray_session_id()
         self._key = (session, n_shards)
         with _FREE_LOCK:
             for key in [k for k in _FREE if k[0] != session]:
@@ -193,7 +193,7 @@ class ShardedSeen:
         a dead shard, is dropped instead."""
         shards, self.shards = self.shards, []
         if not (shards and ray.is_initialized()
-                and _session() == self._key[0]):
+                and ray_session_id() == self._key[0]):
             return
         token = uuid.uuid4().hex
         try:

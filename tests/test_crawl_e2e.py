@@ -615,3 +615,168 @@ def test_crawl_on_one_cpu_node(smoke_corpus_dir, run_in_child):
     on a 1-CPU node the crawl used to hang in epoch 0. Runs in a child
     process under a hard timeout so a hang fails instead of stalling."""
     run_in_child("test_crawl_e2e", "_one_cpu_crawls_main", smoke_corpus_dir)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_collect_runs_its_pipeline_once(tmp_path):
+    """Regression: ``_collect`` went through ``Dataset.to_arrow_refs()``,
+    which in Ray 2.49 runs an unmaterialized plan twice (once more for
+    ``schema()``). Every call of the mapped function leaves a file."""
+    import ray.data as rd
+
+    from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.pipelines.crawl import (
+        _collect,
+    )
+
+    calls = str(tmp_path)
+
+    def record(t):
+        import uuid
+
+        open(os.path.join(calls, uuid.uuid4().hex), "w").close()
+        return t
+
+    ds = rd.range(10, override_num_blocks=1).map_batches(
+        record, batch_format="pyarrow")
+    assert _collect(ds)["id"].to_pylist() == list(range(10))
+    assert len(os.listdir(calls)) == 1
+    mds = ds.materialize()
+    assert len(os.listdir(calls)) == 2
+    assert _collect(mds).num_rows == 10  # a materialized input never re-runs
+    assert len(os.listdir(calls)) == 2
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_broadcast_crawl_starts_one_job_per_epoch(smoke_corpus_dir,
+                                                  monkeypatch):
+    """A broadcast-mode driver-loop epoch runs one Ray Data job (fetch +
+    extract + offer) and none for its downloads. Jobs are counted at
+    ``Dataset.materialize`` and at ``_collect`` of an unmaterialized
+    dataset, whose plan it runs itself."""
+    import ray.data as rd
+    from ray.data.dataset import MaterializedDataset
+
+    from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.pipelines import (
+        crawl as crawl_mod,
+    )
+
+    jobs: list[str] = []
+    in_collect: list[int] = []
+    materialize, collect = rd.Dataset.materialize, crawl_mod._collect
+
+    def counting_materialize(self):
+        if not in_collect:
+            jobs.append("materialize")
+        return materialize(self)
+
+    def counting_collect(ds):
+        if not isinstance(ds, MaterializedDataset):
+            jobs.append("collect")
+        in_collect.append(1)
+        try:
+            return collect(ds)
+        finally:
+            in_collect.pop()
+
+    monkeypatch.setattr(rd.Dataset, "materialize", counting_materialize)
+    monkeypatch.setattr(crawl_mod, "_collect", counting_collect)
+    cfg = CrawlConfig(fetch_mode="broadcast")
+    e = run_crawl(smoke_corpus_dir, cfg)
+    assert e.downloads.num_rows > 0  # the download lane ran
+    assert_matches_oracle(e, crawl_sim.crawl(
+        load_corpus_dict(smoke_corpus_dir), _seeds(smoke_corpus_dir), cfg))
+    assert jobs == ["materialize"] * len(set(e.order["epoch"].to_pylist()))
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_broadcast_caches_are_bounded():
+    """A process keeps one corpus index (a new corpus ref replaces it) and
+    at most BROADCAST_CACHE_MAX other broadcasts, least recently used
+    dropped first."""
+    import pyarrow as pa
+    import ray
+
+    from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.stages import (
+        fetch,
+    )
+
+    refs = [ray.put(i) for i in range(fetch.BROADCAST_CACHE_MAX + 3)]
+    for r in refs:
+        assert fetch.cached_broadcast(r) == refs.index(r)
+        fetch.cached_broadcast(refs[0])  # most recently used: stays
+    keep = {r.hex() for r in refs[-(fetch.BROADCAST_CACHE_MAX - 1):]}
+    assert set(fetch._WORKER_CACHE) == keep | {refs[0].hex()}
+
+    corpora = [ray.put(pa.table({"url": [f"https://h/{i}"],
+                                 "html": [b"<p>x</p>"]})) for i in range(2)]
+    for i, c in enumerate(corpora):
+        idx, _html, lens = fetch.cached_corpus_index(c)
+        assert idx == {f"https://h/{i}": 0} and list(lens) == [8]
+        assert list(fetch._CORPUS_INDEX) == [c.hex()]
+
+
+def _rss_shmem_mb() -> float:
+    with open("/proc/self/status") as f:
+        for line in f:
+            if line.startswith("RssShmem:"):
+                return int(line.split()[1]) / 1024
+    raise AssertionError("no RssShmem line in /proc/self/status")
+
+
+def _crawl_signature(e) -> tuple:
+    return (
+        sorted(zip(e.seen["url_norm"].to_pylist(),
+                   e.seen["first_depth"].to_pylist(),
+                   e.seen["url"].to_pylist())),
+        list(zip(e.order["epoch"].to_pylist(), e.order["rank"].to_pylist(),
+                 e.order["url"].to_pylist())),
+        sorted(zip(e.extracted["url"].to_pylist(),
+                   e.extracted["text"].to_pylist())),
+        sorted(zip(*(e.downloads[c].to_pylist() for c in (
+            "url", "epoch", "attempt", "ok", "bytes", "filename")))),
+        e.n_epochs,
+    )
+
+
+def _repeat_crawls_main(corpus_dir: str) -> None:
+    """Subprocess body: six crawls of one corpus at 4 CPUs. Each result
+    equals the first; the driver's shared memory stops growing after the
+    second call; the worker broadcast caches stay bounded; and after a
+    session restart the crawl is not served the old session's corpus."""
+    import ray
+
+    def session():
+        ray.init(address="local", num_cpus=4, include_dashboard=False,
+                 logging_level="ERROR")
+
+    def cache_sizes():
+        from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.stages import (
+            fetch,
+        )
+
+        return len(fetch._CORPUS_INDEX), len(fetch._WORKER_CACHE)
+
+    session()
+    first, rss = None, []
+    for call in range(6):
+        sig = _crawl_signature(run_crawl(corpus_dir, CrawlConfig()))
+        first = first or sig
+        assert sig == first, f"call {call + 1} differs from call 1"
+        rss.append(_rss_shmem_mb())
+        print(f"call {call + 1}: RssShmem {rss[-1]:.1f} MB", flush=True)
+    growth = (rss[-1] - rss[1]) / (len(rss) - 2)
+    assert growth < 5, f"RssShmem grew {growth:.1f} MB per call: {rss}"
+    sizes = ray.get([ray.remote(cache_sizes).remote() for _ in range(8)])
+    print(f"worker (corpus index, other broadcasts): {sizes}", flush=True)
+    assert all(n <= 1 and m <= 8 for n, m in sizes), sizes
+    ray.shutdown()
+    session()
+    assert _crawl_signature(run_crawl(corpus_dir, CrawlConfig())) == first
+    ray.shutdown()
+    print("ok")
+
+
+def test_repeat_crawls_hold_driver_memory(smoke_corpus_dir, run_in_child):
+    """Regression: every broadcast-mode call put the corpus in the object
+    store again, and the driver's shared RSS grew by its size per call."""
+    run_in_child("test_crawl_e2e", "_repeat_crawls_main", smoke_corpus_dir)

@@ -111,3 +111,37 @@ def test_derived_graph_meta_records_corpus_stamp(tmp_path):
         json.dump({"n_nodes": 5, "corpus_stamp": "v3:OLD"}, f)
     open(os.path.join(gdir, "_SUCCESS"), "w").close()
     assert graph._load_derived_graph(cdir) is None  # stale → re-derive
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_corpus_broadcast_follows_in_place_rewrite(tmp_path):
+    """Broadcast mode reuses one corpus broadcast per Ray session and pages
+    stamp. A corpus rewritten in place must be broadcast again: the next
+    crawl matches the oracle of the NEW pages."""
+    from test_crawl_e2e import _seeds, assert_matches_oracle
+
+    from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.config import (
+        CrawlConfig,
+    )
+    from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.corpus import (
+        load_corpus_dict,
+    )
+    from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.oracle import (
+        crawl_sim,
+    )
+    from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.pipelines.crawl import (
+        _corpus_broadcast,
+        run_crawl,
+    )
+
+    cdir = str(tmp_path / "corpus")
+    pages = os.path.join(cdir, "pages")
+    cfg = CrawlConfig(fetch_mode="broadcast")
+    refs = []
+    for seed in (1, 1, 2):
+        write_corpus(cdir, n_pages=40, n_hosts=3, seed=seed,
+                     mint_text=False, include_huge=False)
+        o = crawl_sim.crawl(load_corpus_dict(cdir), _seeds(cdir), cfg)
+        assert_matches_oracle(run_crawl(cdir, cfg), o)
+        refs.append(_corpus_broadcast(pages).hex())
+    assert refs[0] == refs[1] != refs[2]
