@@ -479,6 +479,9 @@ def run_steady() -> dict:
     from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.config import (
         CrawlConfig,
     )
+    from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.pipelines import (
+        crawl,
+    )
     from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.pipelines.crawl import (
         _corpus_broadcast,
         run_crawl,
@@ -496,7 +499,10 @@ def run_steady() -> dict:
 
     # broadcast the corpus untimed: at steady state the mapping is already
     # resident (and on a real cluster it is per-node, not per-run); the
-    # crawls below reuse it from the session's corpus broadcast cache
+    # crawls below reuse it from the session's corpus broadcast cache,
+    # which must hold it whatever its size (the scale corpus can pass the
+    # default quarter of the object store)
+    crawl.CORPUS_CACHE_SHARE = 1.0
     _corpus_broadcast(pages_dir)
 
     _warm_workers(corpus_dir)

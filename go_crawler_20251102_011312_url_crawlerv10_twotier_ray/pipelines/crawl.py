@@ -306,10 +306,12 @@ def _collect(ds: rd.Dataset) -> pa.Table | None:
     return pa.concat_tables(tables, promote_options="permissive")
 
 
-# Broadcast corpora of this process, least recently used first:
-# pages dir -> (Ray session, pages stamp, ref, bytes). One entry per pages
+# Broadcast corpora of this process, least recently used first: pages
+# dir -> (Ray session, pages stamp, ref, bytes, rows). One entry per pages
 # directory (a new stamp replaces it), all dropped when the session
-# changes, and at most a quarter of the object store held in all.
+# changes, and at most CORPUS_CACHE_SHARE of a node's object store held in
+# all (a corpus bigger than that on its own is put on every call).
+CORPUS_CACHE_SHARE = 0.25
 _CORPUS_REFS: OrderedDict[str, tuple] = OrderedDict()
 _CORPUS_LOCK = threading.Lock()
 
@@ -349,19 +351,45 @@ def _corpus_broadcast(pages_path: str):
             _CORPUS_REFS[key] = hit  # now the most recently used
             return hit[2]
         t = pq.read_table(pages_path, columns=["url", "html"])
-        ref, nbytes = ray.put(t), t.nbytes
+        ref, nbytes, nrows = ray.put(t), t.nbytes, t.num_rows
         del t
-        _CORPUS_REFS[key] = (session, stamp, ref, nbytes)
-        budget = ray.cluster_resources().get("object_store_memory", 0) / 4
-        while sum(e[3] for e in _CORPUS_REFS.values()) > budget:
+        # every node that reads a broadcast holds its own copy, so the
+        # budget is a share of the smallest node's object store
+        budget = CORPUS_CACHE_SHARE * min(
+            n["Resources"].get("object_store_memory", 0)
+            for n in ray.nodes() if n["Alive"])
+        if nbytes > budget:  # never cached: keep the corpora that fit
+            return ref
+        while sum(e[3] for e in _CORPUS_REFS.values()) + nbytes > budget:
             _CORPUS_REFS.popitem(last=False)
+        _CORPUS_REFS[key] = (session, stamp, ref, nbytes, nrows)
     return ref
 
 
+# The broadcast download lane runs in the driver up to these sizes, and
+# only for a corpus the session cache holds (so the driver builds its
+# url -> row index once per session and corpus, never per call). Measured
+# at 4 logical CPUs on synthetic corpora (100-byte bodies) against the Ray
+# Data job it replaces: a 16,384-row batch took 0.14-0.20 s in the driver
+# and 0.20-0.28 s as a job, a 100,000-row batch 0.9-1.2 s against
+# 0.56-0.72 s; the driver's index took 0.29 s and 42 MB once at 240,000
+# corpus rows, and 3.2 s and 350 MB at 2,000,000.
+DRIVER_DOWNLOAD_BATCH_ROWS = 16384
+DRIVER_DOWNLOAD_CORPUS_ROWS = 240_000
+
+
+def _downloads_in_driver(n_rows: int, corpus_ref) -> bool:
+    if n_rows > DRIVER_DOWNLOAD_BATCH_ROWS:
+        return False
+    with _CORPUS_LOCK:
+        return any(e[2] == corpus_ref and e[4] <= DRIVER_DOWNLOAD_CORPUS_ROWS
+                   for e in _CORPUS_REFS.values())
+
+
 class DownloadSim:
-    """Simulated document downloader (broadcast corpus mode, called in the
-    driver by ``_download_lane``): success iff the fetch key exists in the
-    corpus, else cfg.max_retries failed attempts (downloader.go:153-179)."""
+    """Simulated document downloader (broadcast corpus mode): success iff
+    the fetch key exists in the corpus, else cfg.max_retries failed
+    attempts (downloader.go:153-179)."""
 
     def __init__(self, cfg: CrawlConfig, corpus_ref):
         self.cfg = cfg
@@ -1595,23 +1623,27 @@ def _download_lane(new_tasks, pending_retry, cfg, mode, corpus_ref,
                 "attempt": pa.array([w[2] for w in work], pa.int32()),
             }
         )
-        if mode == "broadcast":
+        if mode == "broadcast" and _downloads_in_driver(d_tbl.num_rows,
+                                                         corpus_ref):
             # in the driver, like scan mode's miss rows: a corpus-index
             # lookup per url, microseconds against a Ray Data job's launch
             # (the driver's ray.get of the corpus is zero-copy)
             dl_out = DownloadSim(cfg, corpus_ref)(d_tbl)
-        elif mode == "http":
+        elif mode in ("broadcast", "http"):
             from ._schema import auto_pool
 
-            d_ds = rd.from_arrow(d_tbl)
+            d_ds = rd.from_arrow(d_tbl)  # ONE block — split before mapping
             if d_tbl.num_rows > 16384:
                 d_ds = d_ds.repartition(max(2, d_tbl.num_rows // 8192))
-            dl_out = _collect(
-                d_ds.map_batches(
+            if mode == "broadcast":
+                d_ds = d_ds.map_batches(DownloadSim(cfg, corpus_ref),
+                                        batch_format="pyarrow")
+            else:
+                d_ds = d_ds.map_batches(
                     DownloadHttp, fn_constructor_args=(cfg,),
                     batch_format="pyarrow", concurrency=auto_pool(),
                 )
-            )
+            dl_out = _collect(d_ds)
         else:
             dl_out = _download_local(d_tbl, pages_path, cfg)
         if dl_out is not None:

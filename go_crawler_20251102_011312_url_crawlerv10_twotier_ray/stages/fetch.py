@@ -49,7 +49,7 @@ from ..config import CrawlConfig
 from ..functions.urlnorm import fetch_key
 from .candidates import CandidateLinks
 from .extract import DOC_STRUCT, RouteAndExtract
-from .seen import offer_min_batch
+from .seen import offer_min_batch, ray_session_id
 
 PASSTHROUGH = ("url", "depth", "priority", "host", "url_norm")
 
@@ -157,12 +157,27 @@ def _set_counter(out: pa.Table, name: str, n_sent: int) -> pa.Table:
 # ``_CORPUS_INDEX`` keeps ONE corpus (a new corpus ref drops the old table
 # and index); ``_WORKER_CACHE`` keeps the ``BROADCAST_CACHE_MAX`` most
 # recently used other broadcasts (no call uses more than 3 at once).
+# Both are emptied when the Ray session changes: a fresh local cluster in
+# the same process reuses the job id, so a ref's hex alone does not tell
+# an old session's entry from a new one (Ray 2.49 keeps counting put
+# indices across sessions, which it does not promise), and the old
+# session's buffers are released.
 BROADCAST_CACHE_MAX = 8
 _WORKER_CACHE: OrderedDict[str, object] = OrderedDict()
 _CORPUS_INDEX: dict[str, tuple] = {}
+_CACHE_SESSION: list = [None]
+
+
+def _cache_for_session() -> None:
+    session = ray_session_id()
+    if _CACHE_SESSION[0] != session:
+        _WORKER_CACHE.clear()
+        _CORPUS_INDEX.clear()
+        _CACHE_SESSION[0] = session
 
 
 def cached_broadcast(ref):
+    _cache_for_session()
     key = ref.hex()
     if key not in _WORKER_CACHE:
         _WORKER_CACHE[key] = ray.get(ref)
@@ -182,6 +197,7 @@ def cached_corpus_index(ref):
     import numpy as np
     import pyarrow.compute as pc
 
+    _cache_for_session()
     key = ref.hex()
     if key not in _CORPUS_INDEX:
         _CORPUS_INDEX.clear()  # release the old corpus before mapping this
@@ -192,14 +208,6 @@ def cached_corpus_index(ref):
         ).astype(np.int64) if tbl.num_rows else np.zeros(0, np.int64)
         _CORPUS_INDEX[key] = (idx, tbl["html"], lens)
     return _CORPUS_INDEX[key]
-
-
-def corpus_lookup(ref, fk: str | None) -> bytes | None:
-    idx, html_col, _ = cached_corpus_index(ref)
-    if fk is None:
-        return None
-    i = idx.get(fk)
-    return html_col[i].as_py() if i is not None else None
 
 
 # Worker-local offer cache, keyed by an epoch token: a norm this worker has
@@ -323,6 +331,7 @@ class FetchAndExtract:
             return FETCHED_SCHEMA.empty_table()
         revisit = batch["revisit"].to_pylist()
         cap = self.cfg.max_body_bytes
+        idx, html_col, _ = cached_corpus_index(self.corpus_ref)
         statuses: list[int] = []
         bodies: list[bytes | None] = []
         for u, rv in zip(urls, revisit):
@@ -330,13 +339,13 @@ class FetchAndExtract:
                 statuses.append(304)
                 bodies.append(None)
                 continue
-            body = corpus_lookup(self.corpus_ref, fetch_key(u))
-            if body is None:
+            i = idx.get(fetch_key(u))
+            if i is None:
                 statuses.append(404)
                 bodies.append(None)
             else:
                 statuses.append(200)
-                bodies.append(body[:cap])
+                bodies.append(html_col[i].as_py()[:cap])
         out = build_fetched_table(batch, statuses, bodies, self.extractor)
         n_sent = offer_candidates(out, self.cand_kernel, self.seen_handles,
                                   self.epoch_token)

@@ -646,13 +646,10 @@ def test_collect_runs_its_pipeline_once(tmp_path):
     assert len(os.listdir(calls)) == 2
 
 
-@pytest.mark.usefixtures("ray_session")
-def test_broadcast_crawl_starts_one_job_per_epoch(smoke_corpus_dir,
-                                                  monkeypatch):
-    """A broadcast-mode driver-loop epoch runs one Ray Data job (fetch +
-    extract + offer) and none for its downloads. Jobs are counted at
-    ``Dataset.materialize`` and at ``_collect`` of an unmaterialized
-    dataset, whose plan it runs itself."""
+def _count_jobs(monkeypatch) -> list[str]:
+    """Ray Data jobs the crawl starts, counted at ``Dataset.materialize``
+    and at ``_collect`` of an unmaterialized dataset, whose plan it runs
+    itself."""
     import ray.data as rd
     from ray.data.dataset import MaterializedDataset
 
@@ -680,12 +677,35 @@ def test_broadcast_crawl_starts_one_job_per_epoch(smoke_corpus_dir,
 
     monkeypatch.setattr(rd.Dataset, "materialize", counting_materialize)
     monkeypatch.setattr(crawl_mod, "_collect", counting_collect)
+    return jobs
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("zero_limit", [None, "DRIVER_DOWNLOAD_CORPUS_ROWS",
+                                        "DRIVER_DOWNLOAD_BATCH_ROWS"])
+def test_broadcast_crawl_starts_one_job_per_epoch(smoke_corpus_dir,
+                                                  monkeypatch, zero_limit):
+    """A broadcast-mode driver-loop epoch runs one Ray Data job (fetch +
+    extract + offer) and none for its downloads. Past either limit of the
+    driver download lane the downloads run as one more job in each epoch
+    that has them, with the same result."""
+    from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.pipelines import (
+        crawl as crawl_mod,
+    )
+
+    if zero_limit is not None:
+        monkeypatch.setattr(crawl_mod, zero_limit, 0)
+    jobs = _count_jobs(monkeypatch)
     cfg = CrawlConfig(fetch_mode="broadcast")
     e = run_crawl(smoke_corpus_dir, cfg)
     assert e.downloads.num_rows > 0  # the download lane ran
     assert_matches_oracle(e, crawl_sim.crawl(
         load_corpus_dict(smoke_corpus_dir), _seeds(smoke_corpus_dir), cfg))
-    assert jobs == ["materialize"] * len(set(e.order["epoch"].to_pylist()))
+    n_epochs = len(set(e.order["epoch"].to_pylist()))
+    n_download_jobs = (0 if zero_limit is None
+                       else len(set(e.downloads["epoch"].to_pylist())))
+    assert sorted(jobs) == (["collect"] * n_download_jobs
+                            + ["materialize"] * n_epochs)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -774,6 +794,62 @@ def _repeat_crawls_main(corpus_dir: str) -> None:
     assert _crawl_signature(run_crawl(corpus_dir, CrawlConfig())) == first
     ray.shutdown()
     print("ok")
+
+
+def _restart_new_corpus_main(corpus_a: str, corpus_b: str) -> None:
+    """Subprocess body: crawl corpus A, restart Ray, crawl corpus B; B's
+    downloads must be B's. A fresh local cluster in the same process
+    reuses the job id, so an object id may repeat across sessions (Ray
+    2.49 keeps counting put indices, so here the collision is planted):
+    an entry cached in an earlier session is never served."""
+    import pyarrow as pa
+    import ray
+
+    from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.stages import (
+        fetch,
+    )
+
+    def session():
+        ray.init(address="local", num_cpus=4, include_dashboard=False,
+                 logging_level="ERROR")
+
+    cfg = CrawlConfig(fetch_mode="broadcast")
+    for d in (corpus_a, corpus_b):
+        session()
+        e = run_crawl(d, cfg)
+        ray.shutdown()
+    o = crawl_sim.crawl(load_corpus_dict(corpus_b), _seeds(corpus_b), cfg)
+    assert_matches_oracle(e, o)
+    assert sorted(zip(e.downloads["url"].to_pylist(),
+                      e.downloads["attempt"].to_pylist(),
+                      e.downloads["bytes"].to_pylist())) == sorted(
+        (r["url"], r["attempt"], r["bytes"]) for r in o.downloads)
+
+    stale_index = next(iter(fetch._CORPUS_INDEX.values()))  # corpus B's
+    session()
+    c = ray.put(pa.table({"url": ["https://h/c"], "html": [b"<p>c</p>"]}))
+    r = ray.put("new")
+    fetch._CORPUS_INDEX.clear()
+    fetch._CORPUS_INDEX[c.hex()] = stale_index
+    fetch._WORKER_CACHE[r.hex()] = "stale"
+    assert fetch.cached_corpus_index(c)[0] == {"https://h/c": 0}
+    assert fetch.cached_broadcast(r) == "new"
+    ray.shutdown()
+    print("ok")
+
+
+def test_restart_then_new_corpus_uses_new_corpus(smoke_corpus_dir, tmp_path,
+                                                 run_in_child):
+    """Regression: the per-process broadcast caches were keyed on the
+    ref's hex alone and outlived a Ray session restart."""
+    from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.corpus import (
+        write_corpus,
+    )
+
+    other = write_corpus(str(tmp_path / "other"), n_pages=90, n_hosts=5,
+                         seed=7)
+    run_in_child("test_crawl_e2e", "_restart_new_corpus_main",
+                 smoke_corpus_dir, other)
 
 
 def test_repeat_crawls_hold_driver_memory(smoke_corpus_dir, run_in_child):

@@ -145,3 +145,32 @@ def test_corpus_broadcast_follows_in_place_rewrite(tmp_path):
         assert_matches_oracle(run_crawl(cdir, cfg), o)
         refs.append(_corpus_broadcast(pages).hex())
     assert refs[0] == refs[1] != refs[2]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_corpus_over_cache_budget_is_put_per_call(tmp_path, monkeypatch):
+    """A corpus bigger than the cache budget on its own is put on every
+    call and never cached; the corpora that fit stay cached."""
+    import ray
+
+    from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.pipelines import (
+        crawl,
+    )
+
+    small, big = str(tmp_path / "small"), str(tmp_path / "big")
+    write_corpus(small, n_pages=20, n_hosts=2, seed=1, mint_text=False,
+                 include_huge=False)
+    write_corpus(big, n_pages=200, n_hosts=4, seed=1, mint_text=False,
+                 include_huge=False)
+    small_pages, big_pages = (os.path.abspath(os.path.join(d, "pages"))
+                              for d in (small, big))
+    small_ref = crawl._corpus_broadcast(small_pages)
+    small_bytes = crawl._CORPUS_REFS[small_pages][3]
+    store = min(n["Resources"]["object_store_memory"]
+                for n in ray.nodes() if n["Alive"])
+    # a budget the small corpus fits twice into, the big one not at all
+    monkeypatch.setattr(crawl, "CORPUS_CACHE_SHARE", 2 * small_bytes / store)
+    big_refs = [crawl._corpus_broadcast(big_pages) for _ in range(2)]
+    assert big_refs[0] != big_refs[1]
+    assert big_pages not in crawl._CORPUS_REFS
+    assert crawl._corpus_broadcast(small_pages) == small_ref
