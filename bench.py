@@ -7,7 +7,7 @@ line: {"metric", "value" (total sec), "unit", "queries" (per-pipeline sec),
 "sf", "num_cpus", ...derived throughputs}.
 
 SECTION ISOLATION (round-3 fix): each section — extract+crawl, join-mode
-steady epoch, scan-mode steady epoch, and the relational/dedup/ann/text
+steady epoch, checkpointed steady epoch, and the relational/dedup/ann/text
 query loop — runs in its OWN fresh subprocess with its own ray.init.
 Round 2 ran everything in one session and the leftover state from the two
 full-corpus steady crawls (plasma pressure + ~170 accumulated datasets)
@@ -186,9 +186,8 @@ def section_crawl() -> dict:
 
 def _section_steady(fetch_mode: str) -> dict:
     """ONE steady epoch over every bench-corpus URL in the given fetch
-    mode — join (the declared 100 TB path: no process holds the corpus) or
-    scan (frontier ≪ corpus variant: stream the corpus, broadcast the
-    frontier index, bodies never shuffle)."""
+    mode — join is the declared 100 TB path: no process holds the
+    corpus."""
     ray = _init_session()
     import pyarrow.parquet as pq
 
@@ -407,7 +406,6 @@ def section_queries() -> dict:
 SECTIONS = {
     "crawl": section_crawl,
     "join_steady": lambda: _section_steady("join"),
-    "scan_steady": lambda: _section_steady("scan"),
     "ckpt_plain": lambda: section_ckpt_steady("plain"),
     "ckpt_steady": lambda: section_ckpt_steady("ckpt"),
     "queries": section_queries,
@@ -420,7 +418,7 @@ def run_bench() -> dict:
     _bench_corpus()
     queries: dict[str, float] = {}
     extra: dict = {}
-    for name in ("crawl", "join_steady", "scan_steady", "ckpt_plain",
+    for name in ("crawl", "join_steady", "ckpt_plain",
                  "ckpt_steady", "queries"):
         proc = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--section", name],

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+FETCH_MODES = ("auto", "broadcast", "join", "http")
+FRONTIER_MODES = ("auto", "driver", "dataset")
+
 
 @dataclass(frozen=True)
 class CrawlConfig:
@@ -56,11 +59,9 @@ class CrawlConfig:
     # fetch mode: "broadcast" (corpus index via ray.put — small corpora),
     # "join" (keys-first: frontier keys group by the corpus' persistent
     # hash-bucket layout, each task reads its bucket's parquet locally;
-    # bodies never ride an exchange — both sides huge), "scan" (stream the
-    # corpus + broadcast the scheduled-frontier index — the right 100 TB
-    # shape when frontier ≪ corpus: bodies never shuffle and no process
-    # holds the corpus), or "auto" (broadcast below broadcast_row_limit,
-    # else join)
+    # bodies never ride an exchange and no process holds the corpus),
+    # "http" (live network), or "auto" (broadcast below
+    # broadcast_row_limit, else join)
     fetch_mode: str = "auto"
     # above this many corpus rows, "auto" switches broadcast -> join
     broadcast_row_limit: int = 2_000_000
@@ -92,6 +93,14 @@ class CrawlConfig:
     # CrawlMetrics actor (state/metrics.py) and attaches its snapshot to
     # CrawlRunResult.counters["metrics"]
     live_metrics: bool = False
+
+    def __post_init__(self):
+        if self.fetch_mode not in FETCH_MODES:
+            raise ValueError(f"fetch_mode must be one of {FETCH_MODES}, "
+                             f"not {self.fetch_mode!r}")
+        if self.frontier_mode not in FRONTIER_MODES:
+            raise ValueError(f"frontier_mode must be one of "
+                             f"{FRONTIER_MODES}, not {self.frontier_mode!r}")
 
 
 DEFAULT_CONFIG = CrawlConfig()

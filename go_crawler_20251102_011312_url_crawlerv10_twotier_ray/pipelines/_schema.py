@@ -12,8 +12,8 @@ tests/test_text_edge_cases.py):
 A zero-column block anywhere upstream of a ``Dataset.join`` poisons it:
 the join partition that receives only schema-less chunks raises
 ``ArrowInvalid: No match ... for key field reference`` inside Acero.
-(The all-empty-Dataset variant of this is the `_scan_misses_dataset`
-lesson from round 2.)
+A materialized Dataset whose every block is empty has lost its schema
+the same way, so a join fed one crashes as well.
 
 Fixes here:
 - ``read_parquet_bounded``: never create more read blocks than rows.

@@ -10,8 +10,8 @@ deterministic sequence of bounded Ray Data pipelines, one per epoch
         same marking as Dataset ops)──▶
         scheduled | deferred
     scheduled ──map_batches(FetchAndExtract)──▶ fetched
-        [one fused stage: corpus lookup (zero-copy broadcast Arrow index,
-         keys-first bucket join or corpus scan), two-tier route+extract,
+        [one fused stage: corpus lookup (zero-copy broadcast Arrow index
+         or keys-first bucket join), two-tier route+extract,
          candidate explosion with partial dedup, and (norm, min-key)
          offers streamed to the sharded seen actors — min is
          order-independent ⇒ deterministic]
@@ -39,7 +39,6 @@ Determinism (matches oracle/crawl_sim.py — the shared spec):
 from __future__ import annotations
 
 import os
-import sys
 import threading
 import time
 from collections import OrderedDict
@@ -53,15 +52,12 @@ import ray.data as rd
 from ray.data.dataset import MaterializedDataset
 
 from ..config import CrawlConfig
-from ..functions.urlnorm import fetch_key, host_of, normalize_url
-from ..oracle.crawl_sim import validate_seed
+from ..functions.urlnorm import fetch_key
 from ..oracle.reference import extract_filename
 from ..stages.fetch import (
     FETCHED_SCHEMA,
-    ExtractJoined,
     FetchAndExtract,
     HttpFetch,
-    ScanFetch,
     add_fetch_key,
 )
 from ..stages.seen import ShardedSeen, wait_offers_received
@@ -209,10 +205,8 @@ def _stamp_host_part(n_part: int):
 # groupby shuffle is needed for the frontier.
 
 
-def _mark_revisits(
-    scheduled: pd.DataFrame, seed_raw_set: frozenset,
-    dispatched_seed_raws: set,
-) -> pd.DataFrame:
+def _mark_revisits(scheduled: pd.DataFrame,
+                   dispatched_seed_raws: set) -> pd.DataFrame:
     """colly's raw-URL revisit filter (T2) without distributed state: a
     url_norm enters the frontier exactly once globally and url_norm is a
     function of the raw URL, so a raw URL can repeat only if it is a SEED
@@ -249,23 +243,42 @@ def _accepted_to_table(accepted: pa.Table) -> pa.Table | None:
     )
 
 
-def _join_fetched(marked_ds: rd.Dataset, pages_path: str, cfg: CrawlConfig,
-                  seen_handles: list, robots_disallow: dict,
-                  epoch_token: str) -> rd.Dataset:
-    """fetch_mode="join" body access, shared by both frontier loops:
-    keys-first — the frontier (keys + metadata, never bodies) shuffles into
-    the corpus' persistent hash-bucket layout and each task joins against
-    its own bucket's parquet in place (stages/fetch.LocalBucketJoin)."""
+def _fetch_dataset(sched_ds: rd.Dataset, n_rows: int, mode: str,
+                   cfg: CrawlConfig, corpus_ref, pages_path: str,
+                   seen_handles: list, robots_disallow: dict,
+                   epoch_token: str) -> rd.Dataset:
+    """The epoch's lazy fused fetch+extract+offer plan over the ``n_rows``
+    scheduled rows (``revisit`` marked; both loops cut them into blocks of
+    ``cfg.extract_batch_size``), for both frontier loops. ``broadcast``
+    looks pages up in the zero-copy corpus broadcast; ``http`` fetches
+    live through an autoscaling actor pool (client built once per actor);
+    ``join`` is keys-first: the frontier (keys + metadata, never bodies)
+    groups by the corpus' persistent hash-bucket layout and each task
+    joins against its own bucket's parquet in place
+    (stages/fetch.LocalBucketJoin)."""
+    if mode == "broadcast":
+        return sched_ds.map_batches(
+            FetchAndExtract(cfg, corpus_ref, seen_handles, robots_disallow,
+                            epoch_token),
+            batch_format="pyarrow", batch_size=cfg.extract_batch_size,
+        )
+    if mode == "http":
+        from ._schema import auto_pool
+
+        return sched_ds.map_batches(
+            HttpFetch,
+            fn_constructor_args=(cfg, seen_handles, robots_disallow,
+                                 epoch_token),
+            batch_format="pyarrow", batch_size=cfg.extract_batch_size,
+            concurrency=auto_pool(),
+        )
     from ..sources.pages import bucketed_pages, key_bucket
     from ..stages.fetch import LocalBucketJoin
 
-    marked = marked_ds.map_batches(
-        add_fetch_key, batch_format="pyarrow",
-        batch_size=cfg.extract_batch_size,
-    )
     root, n_buckets = bucketed_pages(pages_path)
 
     def stamp(t: pa.Table) -> pa.Table:
+        t = add_fetch_key(t)
         return t.append_column(
             "bucket",
             pa.array(key_bucket(t["fetch_key"].to_pylist(), n_buckets)),
@@ -277,11 +290,79 @@ def _join_fetched(marked_ds: rd.Dataset, pages_path: str, cfg: CrawlConfig,
     def local_bucket_join(g: pa.Table) -> pa.Table:
         return kern(g)
 
+    stamped = sched_ds.map_batches(stamp, batch_format="pyarrow",
+                                   batch_size=cfg.extract_batch_size)
+    # the sort behind groupby keeps its input's block count, so a small
+    # frontier would read and extract every bucket it hits in ONE task:
+    # spread it so up to 2 × CPUs buckets are read in parallel
+    n_part = min(n_buckets, 2 * int(ray.cluster_resources().get("CPU", 8)))
+    if n_part > -(-n_rows // cfg.extract_batch_size):
+        stamped = stamped.repartition(n_part)
     return (
-        marked.map_batches(stamp, batch_format="pyarrow")
-        .groupby("bucket")   # one call per BUCKET (~100k pages), not key
+        stamped.groupby("bucket")   # one call per BUCKET, not per key
         .map_groups(local_bucket_join, batch_format="pyarrow")
     )
+
+
+def _epoch_counts(fetched) -> dict[str, int]:
+    """Row, ok and offer-entry counts of an epoch's fetched rows: a table
+    (collected rows) is counted in place, a Dataset by ONE tiny stats job
+    (one counter row per batch; no page rows pass the driver)."""
+    import pyarrow.compute as pc
+
+    if fetched is None:
+        stats = None
+    elif isinstance(fetched, pa.Table):
+        stats = _stat_counts(fetched)
+    else:
+        stats = _collect(fetched.map_batches(_stat_counts,
+                                             batch_format="pyarrow"))
+    return {
+        k: int(pc.sum(stats[k]).as_py() or 0) if stats is not None else 0
+        for k in ("n", "ok_n", "offers", "doc_offers")
+    }
+
+
+def _push_epoch_metrics(metrics, seen, epoch: int, scheduled: int,
+                        fetched_ok: int, docs_queued: int, dl_tbl: pa.Table,
+                        retries_pending: int, frontier_next: int) -> None:
+    """Fire-and-forget per-epoch gauge push to the CrawlMetrics actor."""
+    if metrics is None:
+        return
+    n_dl_ok = int(pa.compute.sum(dl_tbl["ok"]).as_py() or 0)
+    metrics.record_epoch.remote({
+        "epoch": epoch,
+        "scheduled": scheduled,
+        "fetched_ok": fetched_ok,
+        "fetch_err": scheduled - fetched_ok,
+        "docs_queued": docs_queued,
+        "downloads_ok": n_dl_ok,
+        "download_err": dl_tbl.num_rows - n_dl_ok,
+        "retries_pending": retries_pending,
+        "seen_total": seen.total("norm"),
+        "frontier_next": frontier_next,
+    })
+
+
+# The phases of a crawl call, in epoch order after the one-time set-up.
+PHASES = ("setup", "schedule", "fetch", "counts", "fence", "downloads",
+          "frontier", "write")
+
+
+class _PhaseTimer:
+    """Summed wall seconds per phase of one crawl call, shared by both
+    frontier loops and returned as ``CrawlRunResult.counters["phases"]``:
+    ``lap(name)`` charges the time since the previous lap to ``name``, so
+    the phases add up to the call's time up to its last lap."""
+
+    def __init__(self):
+        self.phases = dict.fromkeys(PHASES, 0.0)
+        self._t = time.perf_counter()
+
+    def lap(self, name: str) -> None:
+        t = time.perf_counter()
+        self.phases[name] += t - self._t
+        self._t = t
 
 
 def _collect(ds: rd.Dataset) -> pa.Table | None:
@@ -486,9 +567,8 @@ def run_crawl(
 
     Data contract: the pages table is keyed by ``url`` and MUST be unique
     per url (corpus.write_corpus guarantees it). Every fetch mode assumes
-    it — the broadcast index keeps one row per key, the hash join and the
-    scan path would both emit duplicate fetches (and the scan's
-    count-based miss detection would be masked) on a corpus with dup urls.
+    it — the broadcast index keeps one row per key, and the bucket join
+    would emit duplicate fetches on a corpus with dup urls.
 
     ``collect=False`` keeps page-scale outputs distributed (extracted rows
     are written per-epoch via ``Dataset.write_parquet`` when a checkpoint
@@ -498,6 +578,7 @@ def run_crawl(
     (``_corpus_broadcast``), so back-to-back crawls share it."""
     import pyarrow.parquet as pq
 
+    timer = _PhaseTimer()
     cfg = cfg or CrawlConfig()
     if seeds is None:
         seeds = pq.read_table(os.path.join(corpus_dir, "seeds.parquet"))[
@@ -512,19 +593,6 @@ def run_crawl(
     robots_disallow = robots_disallow if cfg.respect_robots else {}
 
     pages_path = os.path.join(corpus_dir, "pages")
-    import sys as _sys0
-    import time as _time0
-
-    _setup_t = _time0.perf_counter()
-
-    def _setup_tick(label):
-        nonlocal _setup_t
-        if os.environ.get("GRAFT_CRAWL_DEBUG"):
-            print(f"[crawl setup] {label}: "
-                  f"{_time0.perf_counter()-_setup_t:.2f}s at "
-                  f"{_time0.time():.3f}", file=_sys0.stderr, flush=True)
-        _setup_t = _time0.perf_counter()
-
     mode = cfg.fetch_mode
     if mode == "auto":
         import pyarrow.dataset as pads
@@ -535,7 +603,6 @@ def run_crawl(
     # broadcast as an Arrow table: zero-copy page bytes in plasma, shared
     # by every worker process (stages/fetch.cached_corpus_index)
     corpus_ref = _corpus_broadcast(pages_path) if mode == "broadcast" else None
-    _setup_tick("corpus-broadcast")
 
     # dataset-frontier dispatch: the steady/scale loop keeps the frontier
     # distributed end-to-end (no driver materialization of candidates)
@@ -551,21 +618,18 @@ def run_crawl(
             )
         return _run_crawl_dataset_frontier(
             corpus_dir, cfg, seeds, host_budgets, robots_disallow,
-            max_epochs, corpus_ref, mode, seen_sink=seen_sink,
+            max_epochs, corpus_ref, mode, timer, seen_sink=seen_sink,
             extracted_sink=extracted_sink, resume=resume,
         )
 
     seen = ShardedSeen(cfg.seen_shards)
-    _setup_tick("seen-shards")
     offers_expected = 0  # cumulative fence targets for fire-and-forget offers
     doc_offers_expected = 0
     metrics = None
     if cfg.live_metrics:
         from ..state.metrics import get_or_create_metrics
 
-        metrics = get_or_create_metrics(
-            echo=bool(os.environ.get("GRAFT_CRAWL_DEBUG")), reset=True,
-        )
+        metrics = get_or_create_metrics(reset=True)
     dispatched_seed_raws: set[str] = set()
     # T8 retry lane (downloader.go:153-179): failed download tasks re-queue
     # for the next epoch with priority, up to cfg.max_retries attempts
@@ -637,24 +701,12 @@ def run_crawl(
                 except FileNotFoundError:
                     pass
 
-    import sys as _sys
-    import time as _time
-
-    debug = bool(os.environ.get("GRAFT_CRAWL_DEBUG"))
-
-    def _tick(label, t0):
-        if debug:
-            print(f"[crawl e{epoch}] {label}: {_time.perf_counter()-t0:.2f}s"
-                  f" at {_time.time():.3f}",
-                  file=_sys.stderr, flush=True)
-        return _time.perf_counter()
-
     epoch = start_epoch
+    timer.lap("setup")
     try:
         while len(frontier) > 0 or pending_retry:
             if max_epochs is not None and epoch - start_epoch >= max_epochs:
                 break
-            _t = _time.perf_counter()
             if (not cfg.record_order and not host_budgets
                     and cfg.default_host_budget <= 0):
                 # trace off + unlimited budgets: scheduling is the identity
@@ -680,135 +732,57 @@ def run_crawl(
 
             # raw-revisit (T2) is a pure driver-side computation against
             # the seed set — see stages/fetch.py docstring for the proof
-            scheduled = _mark_revisits(
-                scheduled, seed_raw_set, dispatched_seed_raws
-            )
+            scheduled = _mark_revisits(scheduled, dispatched_seed_raws)
             dispatched_seed_raws.update(set(scheduled["url"]) & seed_raw_set)
 
-            sched_tbl = pa.Table.from_pandas(
-                scheduled[FRONTIER_COLS + ["revisit"]], preserve_index=False
-            )
-            n_blocks = max(1, min(32, (len(scheduled) + cfg.extract_batch_size - 1)
-                                  // cfg.extract_batch_size))
-            sched_ds = rd.from_arrow(sched_tbl).repartition(n_blocks)
-
             epoch_token = seen.epoch_token(epoch)
-            if len(scheduled) == 0:
-                # retry-drain epoch: only pending download retries remain
-                fetched = None
-            elif mode == "broadcast":
-                fetched = sched_ds.map_batches(
-                    FetchAndExtract(cfg, corpus_ref, seen.handles(),
-                                    robots_disallow, epoch_token),
-                    batch_format="pyarrow",
-                    batch_size=cfg.extract_batch_size,
+            fetched = None  # stays None in a retry-drain epoch
+            if len(scheduled):
+                sched_tbl = pa.Table.from_pandas(
+                    scheduled[FRONTIER_COLS + ["revisit"]],
+                    preserve_index=False,
                 )
-            elif mode == "http":
-                # live network: autoscaling actor pool, client built once
-                # per actor (stages/fetch.HttpFetch)
-                from ._schema import auto_pool
-
-                fetched = sched_ds.map_batches(
-                    HttpFetch,
-                    fn_constructor_args=(cfg, seen.handles(),
-                                         robots_disallow, epoch_token),
-                    batch_format="pyarrow",
-                    batch_size=cfg.extract_batch_size,
-                    concurrency=auto_pool(),
+                n_blocks = max(1, min(32, (len(scheduled)
+                                           + cfg.extract_batch_size - 1)
+                                      // cfg.extract_batch_size))
+                fetched = _fetch_dataset(
+                    rd.from_arrow(sched_tbl).repartition(n_blocks),
+                    len(scheduled), mode, cfg, corpus_ref, pages_path,
+                    seen.handles(), robots_disallow, epoch_token,
                 )
-            elif mode == "scan":
-                # corpus scan + broadcast frontier index: bodies never
-                # shuffle, no process holds the corpus — right whenever
-                # frontier ≪ corpus (misses synthesized after the barrier)
-                from ..sources.pages import read_pages
-
-                sched_ref = ray.put(add_fetch_key(sched_tbl))
-                fetched = read_pages(pages_path, columns=["url", "html"]).map_batches(
-                    ScanFetch(sched_ref, cfg, seen.handles(),
-                              robots_disallow, epoch_token),
-                    batch_format="pyarrow",
-                    batch_size=cfg.extract_batch_size,
-                )
-            else:
-                fetched = _join_fetched(
-                    sched_ds, pages_path, cfg, seen.handles(),
-                    robots_disallow, epoch_token,
-                )
-            _t = _tick("schedule", _t)
+            timer.lap("schedule")
             # materialize barriers the epoch: every fetch task has extracted
             # AND submitted its candidate offers (fire-and-forget) before
             # the fence below
             if fetched is not None:
                 fetched = fetched.materialize()
-            if mode == "scan" and fetched is not None and len(scheduled):
-                # scan emits only corpus hits — synthesize the 404/304 rows
-                # for scheduled keys the whole corpus lacks (keys-only
-                # collect; the driver frontier is already driver-resident)
-                hit_df = fetched.select_columns(["url"]).to_pandas()
-                hit_urls = set(hit_df["url"]) if len(hit_df) else set()
-                miss = scheduled[~scheduled["url"].isin(hit_urls)]
-                if len(miss):
-                    miss_tbl = add_fetch_key(pa.Table.from_pandas(
-                        miss[FRONTIER_COLS + ["revisit"]],
-                        preserve_index=False))
-                    miss_tbl = miss_tbl.append_column(
-                        "html", pa.array([None] * len(miss), pa.binary()))
-                    miss_out = ExtractJoined(
-                        cfg, seen.handles(), robots_disallow, epoch_token
-                    )(miss_tbl)
-                    fetched = fetched.union(rd.from_arrow(miss_out))
-            _t = _tick("fetch+extract+offer", _t)
+            timer.lap("fetch")
 
-            # --- counters (doc offers are fused into the fetch tasks) ---
-            # collect=True (test/bench scale): sums over the collected
-            # batch; collect=False (steady/100 TB): ONE tiny stats pipeline
-            # (one counter row per batch; no doc rows pass the driver).
+            # counters (doc offers are fused into the fetch tasks):
+            # collect=True (test/bench scale) counts the collected rows;
+            # collect=False (steady/100 TB) runs ONE tiny stats job
             ext_tbl = None
-            epoch_offers = 0
-            epoch_doc_offers = 0
-            epoch_ok = 0
-            if fetched is not None:
-                if collect:
-                    ext_tbl = _collect(fetched) or FETCHED_SCHEMA.empty_table()
-                    epoch_offers = int(
-                        pa.compute.sum(ext_tbl["offers_sent"]).as_py() or 0
-                    )
-                    epoch_doc_offers = int(
-                        pa.compute.sum(ext_tbl["doc_offers_sent"]).as_py() or 0
-                    )
-                    epoch_ok = int(
-                        pa.compute.sum(ext_tbl["ok"]).as_py() or 0
-                    )
-                else:
-                    stats = _collect(
-                        fetched.map_batches(_stat_counts,
-                                            batch_format="pyarrow")
-                    )
-                    if stats is not None:
-                        import pyarrow.compute as _pc
-
-                        epoch_ok = int(_pc.sum(stats["ok_n"]).as_py() or 0)
-                        res.pages_fetched += epoch_ok
-                        epoch_offers = int(
-                            _pc.sum(stats["offers"]).as_py() or 0
-                        )
-                        epoch_doc_offers = int(
-                            _pc.sum(stats["doc_offers"]).as_py() or 0
-                        )
-            _t = _tick("stat-counts", _t)
+            if collect:
+                ext_tbl = (_collect(fetched) if fetched is not None
+                           else None) or FETCHED_SCHEMA.empty_table()
+            counts = _epoch_counts(ext_tbl if collect else fetched)
+            # (collect=True resets pages_fetched from the extracted rows
+            # after the loop)
+            res.pages_fetched += counts["ok_n"]
+            timer.lap("counts")
 
             # fence both offer streams, then drain: norm drains run async
             # while the download section below executes; the doc drain is
             # tiny (accepted NEW doc urls only) and feeds it
-            offers_expected += epoch_offers
-            doc_offers_expected += epoch_doc_offers
+            offers_expected += counts["offers"]
+            doc_offers_expected += counts["doc_offers"]
             wait_offers_received(seen.handles(), "norm", offers_expected)
             wait_offers_received(seen.handles(), "doc", doc_offers_expected)
             drain_refs = [
                 sh.drain_epoch.remote("norm") for sh in seen.handles()
             ]
             new_tasks = _doc_drain_to_tasks(seen.drain("doc"))
-            _t = _tick("offer-fence+drain-submit", _t)
+            timer.lap("fence")
 
             # --- documents -> simulated download (dedup already happened
             # in the shards' doc min-offer stream; retry lane first with
@@ -817,38 +791,10 @@ def run_crawl(
                 new_tasks, pending_retry, cfg, mode, corpus_ref,
                 pages_path, epoch,
             )
+            timer.lap("downloads")
 
-            _t = _tick("documents+downloads", _t)
-            accepted = _assemble_drain(ray.get(drain_refs))
-            survivors = _accepted_to_table(accepted)
-            _t = _tick("drain-assemble", _t)
-            if collect:
-                if ext_tbl is None:
-                    ext_tbl = FETCHED_SCHEMA.empty_table()
-                ext_tbl = ext_tbl.append_column(
-                    "epoch", pa.array([epoch] * ext_tbl.num_rows, pa.int32())
-                )
-                acc["extracted"].append(ext_tbl)
-                # (res.pages_fetched is set from the concatenated extracted
-                # table after the loop in collect mode)
-            else:
-                ext_tbl = None
-                if fetched is not None and cfg.checkpoint_dir:
-                    # distributed sink: per-epoch partition dir
-                    fetched.write_parquet(
-                        os.path.join(
-                            cfg.checkpoint_dir, f"epoch={epoch}", "extracted"
-                        )
-                    )
-                if fetched is not None and extracted_sink:
-                    fetched.write_parquet(
-                        os.path.join(extracted_sink, f"epoch={epoch}")
-                    )
-                # (pages_fetched was tallied from the explode pipeline's
-                # stat rows above — no separate counts pipeline)
-            acc["order"].append(order_tbl)
-            acc["downloads"].append(dl_tbl)
-
+            survivors = _accepted_to_table(
+                _assemble_drain(ray.get(drain_refs)))
             if survivors is not None and survivors.num_rows:
                 # accepted pairs are norm-sorted (assemble_drain sorts)
                 sdf = survivors.to_pandas()
@@ -872,29 +818,31 @@ def run_crawl(
                         "epoch": pa.array([], pa.int32()),
                     }
                 )
-            acc["seen"].append(seen_delta)
-
             new_frontier = sdf.assign(priority=0)[FRONTIER_COLS] if len(sdf) else \
                 pd.DataFrame(columns=FRONTIER_COLS)
             next_frontier = pd.concat([deferred, new_frontier], ignore_index=True)
-
-            if metrics is not None:
-                n_dl_ok = int(pa.compute.sum(dl_tbl["ok"]).as_py() or 0)
-                metrics.record_epoch.remote(  # fire-and-forget gauge push
-                    {
-                        "epoch": epoch,
-                        "scheduled": len(scheduled),
-                        "fetched_ok": epoch_ok,
-                        "fetch_err": len(scheduled) - epoch_ok,
-                        "docs_queued": n_new_docs,
-                        "downloads_ok": n_dl_ok,
-                        "download_err": dl_tbl.num_rows - n_dl_ok,
-                        "retries_pending": len(pending_retry),
-                        "seen_total": seen.total("norm"),
-                        "frontier_next": len(next_frontier),
-                    }
+            if ext_tbl is not None:
+                ext_tbl = ext_tbl.append_column(
+                    "epoch", pa.array([epoch] * ext_tbl.num_rows, pa.int32())
                 )
+                acc["extracted"].append(ext_tbl)
+            acc["order"].append(order_tbl)
+            acc["downloads"].append(dl_tbl)
+            acc["seen"].append(seen_delta)
+            timer.lap("frontier")
 
+            _push_epoch_metrics(
+                metrics, seen, epoch, len(scheduled), counts["ok_n"],
+                n_new_docs, dl_tbl, len(pending_retry), len(next_frontier),
+            )
+            if fetched is not None and not collect:
+                # distributed sinks: one partition dir per epoch
+                if cfg.checkpoint_dir:
+                    fetched.write_parquet(os.path.join(
+                        cfg.checkpoint_dir, f"epoch={epoch}", "extracted"))
+                if extracted_sink:
+                    fetched.write_parquet(
+                        os.path.join(extracted_sink, f"epoch={epoch}"))
             if cfg.checkpoint_dir:
                 ckpt_tables = {
                         "frontier_next": pa.Table.from_pandas(
@@ -929,12 +877,11 @@ def run_crawl(
                     meta={
                         "epoch": epoch,
                         "scheduled": len(scheduled),
-                        "fetched_ok": epoch_ok,
+                        "fetched_ok": counts["ok_n"],
                         "seen_total": seen.total("norm"),
                     },
                 )
-
-            _t = _tick("collect+checkpoint", _t)
+            timer.lap("write")
             frontier = next_frontier
             epoch += 1
     finally:
@@ -961,6 +908,7 @@ def run_crawl(
         "epochs": epoch,
         "pages_fetched": res.pages_fetched,
         "seen": res.seen.num_rows if res.seen is not None else 0,
+        "phases": timer.phases,
     }
     if metrics is not None:
         res.counters["metrics"] = ray.get(metrics.snapshot.remote())
@@ -1073,6 +1021,7 @@ def _run_crawl_dataset_frontier(
     max_epochs: int | None,
     corpus_ref,
     mode: str,
+    timer: _PhaseTimer,
     seen_sink: str | None = None,
     extracted_sink: str | None = None,
     resume: bool = False,
@@ -1084,26 +1033,13 @@ def _run_crawl_dataset_frontier(
     candidates never pass through the driver; driver state is counters,
     the retry lane and the (tiny) seed set. No rank trace, no checkpoint
     (use frontier_mode="driver" for those)."""
-    import pyarrow.compute as pc
-
-    debug = bool(os.environ.get("GRAFT_CRAWL_DEBUG"))
-
-    def _tick(label, t0):
-        if debug:
-            t1 = time.perf_counter()
-            print(f"  [ds-epoch] {label}: {t1 - t0:.2f}s", file=sys.stderr)
-            return t1
-        return t0
-
     pages_path = os.path.join(corpus_dir, "pages")
     seen = ShardedSeen(cfg.seen_shards)
     metrics = None
     if cfg.live_metrics:
         from ..state.metrics import get_or_create_metrics
 
-        metrics = get_or_create_metrics(
-            echo=bool(os.environ.get("GRAFT_CRAWL_DEBUG")), reset=True,
-        )
+        metrics = get_or_create_metrics(reset=True)
     offers_expected = 0
     doc_offers_expected = 0
     res = CrawlRunResult()
@@ -1138,13 +1074,13 @@ def _run_crawl_dataset_frontier(
             scheduled_total = st["scheduled_total"]
             raws_claimed = st["raws_claimed"]
     start_epoch = epoch
+    timer.lap("setup")
     try:
         while frontier_count > 0 or pending_retry:
             # max_epochs counts epochs run in THIS invocation (driver-loop
             # parity: a resumed run asked for N epochs does N more)
             if max_epochs is not None and epoch - start_epoch >= max_epochs:
                 break
-            _t = time.perf_counter()
             deferred_ds = None
             deferred_count = 0
             fetched = None
@@ -1212,103 +1148,34 @@ def _run_crawl_dataset_frontier(
                                                      seen)
                     raws_claimed += len(winners)
                 winners_ref = ray.put(winners)
-                sched_ds = sched_ds.map_batches(
-                    MarkRevisitsInTask(seed_ref, winners_ref),
-                    batch_format="pyarrow",
+                fetched = _fetch_dataset(
+                    sched_ds.map_batches(
+                        MarkRevisitsInTask(seed_ref, winners_ref),
+                        batch_format="pyarrow",
+                    ),
+                    frontier_count, mode, cfg, corpus_ref, pages_path,
+                    seen.handles(), robots_disallow, seen.epoch_token(epoch),
                 )
-                _t = _tick("schedule+revisits", _t)
-                epoch_token = seen.epoch_token(epoch)
-                if mode == "broadcast":
-                    fetched = sched_ds.map_batches(
-                        FetchAndExtract(cfg, corpus_ref, seen.handles(),
-                                        robots_disallow, epoch_token),
-                        batch_format="pyarrow",
-                        batch_size=cfg.extract_batch_size,
-                    ).materialize()
-                elif mode == "http":
-                    from ._schema import auto_pool
-
-                    fetched = sched_ds.map_batches(
-                        HttpFetch,
-                        fn_constructor_args=(cfg, seen.handles(),
-                                             robots_disallow, epoch_token),
-                        batch_format="pyarrow",
-                        batch_size=cfg.extract_batch_size,
-                        concurrency=auto_pool(),
-                    ).materialize()
-                elif mode == "scan":
-                    # corpus scan + frontier broadcast FROM BLOCK REFS (the
-                    # scheduled set never touches the driver); misses get a
-                    # keys-only anti-join, and only when the row counts say
-                    # some scheduled key found no page
-                    from ..sources.pages import read_pages
-
-                    marked2 = sched_ds.map_batches(
-                        add_fetch_key, batch_format="pyarrow",
-                        batch_size=cfg.extract_batch_size,
-                    ).materialize()
-                    sched_refs = marked2.to_arrow_refs()
-                    fetched = read_pages(
-                        pages_path, columns=["url", "html"]
-                    ).map_batches(
-                        ScanFetch(sched_refs, cfg, seen.handles(),
-                                  robots_disallow, epoch_token),
-                        batch_format="pyarrow",
-                        batch_size=cfg.extract_batch_size,
-                    ).materialize()
-                    if fetched.count() < marked2.count():
-                        fetched = fetched.union(
-                            _scan_misses_dataset(
-                                marked2, fetched, cfg, seen.handles(),
-                                robots_disallow, epoch_token,
-                            )
-                        ).materialize()
-                else:
-                    fetched = _join_fetched(
-                        sched_ds, pages_path, cfg, seen.handles(),
-                        robots_disallow, epoch_token,
-                    ).materialize()
-
-            _t = _tick("fetch+extract+offer", _t)
-            if fetched is not None and extracted_sink:
-                # resumable output: one parquet directory per epoch,
-                # written distributed (extracted rows never pass through
-                # the driver) — a downstream consumer or a re-run can skip
-                # finished epoch partitions
-                fetched.write_parquet(
-                    os.path.join(extracted_sink, f"epoch={epoch}")
-                )
-
-            # counters (ONE tiny stats pipeline — doc offers are fused into
-            # the fetch tasks, no doc rows pass the driver), then fence +
-            # drain refs
-            epoch_ok = 0
-            epoch_offers = 0
-            epoch_doc_offers = 0
-            epoch_sched = 0
+            timer.lap("schedule")
             if fetched is not None:
-                stats = _collect(
-                    fetched.map_batches(_stat_counts,
-                                        batch_format="pyarrow")
-                )
-                if stats is not None:
-                    epoch_ok = int(pc.sum(stats["ok_n"]).as_py() or 0)
-                    epoch_sched = int(pc.sum(stats["n"]).as_py() or 0)
-                    epoch_offers = int(pc.sum(stats["offers"]).as_py() or 0)
-                    epoch_doc_offers = int(
-                        pc.sum(stats["doc_offers"]).as_py() or 0)
-            res.pages_fetched += epoch_ok
-            scheduled_total += epoch_sched
-            offers_expected += epoch_offers
-            doc_offers_expected += epoch_doc_offers
-            _t = _tick("stat-counts", _t)
+                fetched = fetched.materialize()
+            timer.lap("fetch")
+
+            # counters (doc offers are fused into the fetch tasks, no doc
+            # rows pass the driver), then fence + drain refs
+            counts = _epoch_counts(fetched)
+            res.pages_fetched += counts["ok_n"]
+            scheduled_total += counts["n"]
+            timer.lap("counts")
+            offers_expected += counts["offers"]
+            doc_offers_expected += counts["doc_offers"]
             wait_offers_received(seen.handles(), "norm", offers_expected)
             wait_offers_received(seen.handles(), "doc", doc_offers_expected)
             drain_refs = [
                 sh.drain_epoch_table.remote("norm") for sh in seen.handles()
             ]
             new_tasks = _doc_drain_to_tasks(seen.drain("doc"))
-            _t = _tick("fence+drain-submit", _t)
+            timer.lap("fence")
 
             # downloads (the SHARED deterministic lane — _download_lane)
             dl_tbl, pending_retry, n_new_docs = _download_lane(
@@ -1316,42 +1183,34 @@ def _run_crawl_dataset_frontier(
                 pages_path, epoch,
             )
             dl_acc.append(dl_tbl)
-            _t = _tick("downloads", _t)
+            timer.lap("downloads")
 
             # next frontier: drain tables → Dataset, key split in tasks
             surv_ds = rd.from_arrow_refs(drain_refs).map_batches(
                 _drained_to_frontier, batch_format="pyarrow"
             ).materialize()
             n_new = surv_ds.count()
-            if seen_sink is not None and n_new:
-                # distributed partitioned sink for the seen/frontier log
-                # (one dir per epoch — the resumable-output layout)
-                surv_ds.write_parquet(
-                    os.path.join(seen_sink, f"epoch={epoch}")
-                )
             if deferred_ds is not None and deferred_count:
                 frontier_ds = deferred_ds.union(surv_ds).materialize()
             else:
                 frontier_ds = surv_ds
             frontier_count = n_new + deferred_count
-            _t = _tick("frontier-assemble", _t)
+            timer.lap("frontier")
 
-            if metrics is not None:
-                n_dl_ok = int(pa.compute.sum(dl_tbl["ok"]).as_py() or 0)
-                metrics.record_epoch.remote(
-                    {
-                        "epoch": epoch,
-                        "scheduled": epoch_sched,
-                        "fetched_ok": epoch_ok,
-                        "fetch_err": epoch_sched - epoch_ok,
-                        "docs_queued": n_new_docs,
-                        "downloads_ok": n_dl_ok,
-                        "download_err": dl_tbl.num_rows - n_dl_ok,
-                        "retries_pending": len(pending_retry),
-                        "seen_total": seen.total("norm"),
-                        "frontier_next": frontier_count,
-                    }
-                )
+            _push_epoch_metrics(
+                metrics, seen, epoch, counts["n"], counts["ok_n"],
+                n_new_docs, dl_tbl, len(pending_retry), frontier_count,
+            )
+            # resumable outputs, written distributed (extracted and
+            # accepted rows never pass through the driver): one parquet
+            # directory per epoch, so a downstream consumer or a re-run
+            # can skip finished epoch partitions
+            if fetched is not None and extracted_sink:
+                fetched.write_parquet(
+                    os.path.join(extracted_sink, f"epoch={epoch}"))
+            if seen_sink is not None and n_new:
+                surv_ds.write_parquet(
+                    os.path.join(seen_sink, f"epoch={epoch}"))
             if cfg.checkpoint_dir:
                 _ckpt_dataset_epoch(
                     cfg.checkpoint_dir, epoch,
@@ -1364,7 +1223,7 @@ def _run_crawl_dataset_frontier(
                         "frontier_count": frontier_count,
                     },
                 )
-            _t = _tick("checkpoint", _t)
+            timer.lap("write")
             epoch += 1
     finally:
         seen.kill()
@@ -1376,6 +1235,7 @@ def _run_crawl_dataset_frontier(
         "pages_fetched": res.pages_fetched,
         "scheduled_total": scheduled_total,
         "seen": None,  # stays sharded/distributed in this mode
+        "phases": timer.phases,
     }
     if metrics is not None:
         res.counters["metrics"] = ray.get(metrics.snapshot.remote())
@@ -1493,7 +1353,7 @@ def _drained_to_frontier(t: pa.Table) -> pa.Table:
 
 
 def _stat_counts(batch: pa.Table) -> pa.Table:
-    """ONE counter row per fetched batch (collect=False path): row/ok
+    """ONE counter row per fetched batch (``_epoch_counts``): row/ok
     counts plus the fire-and-forget offer-entry counts the fetch task
     stamped into its output — the driver sums these to fence both offer
     streams. Document rows themselves never pass the driver (they ride the
@@ -1533,7 +1393,7 @@ def _doc_drain_to_tasks(drained: pa.Table) -> list[tuple[str, int, int]]:
     ]
 
 
-def _empty_downloads(epoch: int) -> pa.Table:
+def _empty_downloads() -> pa.Table:
     return pa.table(
         {
             "url": pa.array([], pa.string()),
@@ -1545,58 +1405,6 @@ def _empty_downloads(epoch: int) -> pa.Table:
             "epoch": pa.array([], pa.int32()),
         }
     )
-
-
-class _NullHtmlExtract:
-    """Run the join-mode extract kernel over scheduled rows with no corpus
-    page (scan-mode misses): html=None → 404 (or 304 for revisit rows)."""
-
-    def __init__(self, cfg, seen_handles, robots_disallow, epoch_token):
-        self.inner = ExtractJoined(cfg, seen_handles, robots_disallow,
-                                   epoch_token)
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        if "hit" in t.column_names:
-            t = t.drop_columns(["hit"])
-        t = t.append_column(
-            "html", pa.array([None] * t.num_rows, pa.binary()))
-        return self.inner(t)
-
-
-def _scan_misses_dataset(marked2, fetched, cfg, seen_handles,
-                         robots_disallow, epoch_token):
-    """Dataset-frontier scan mode: synthesize 404/304 rows for scheduled
-    keys absent from the corpus via a KEYS-ONLY left anti-join (scheduled
-    rows vs the fetched url column) — no bodies, no driver pass."""
-    import pyarrow.compute as _pc
-
-    if fetched.count() == 0:
-        # nothing hit: every scheduled row is a miss, and an all-empty
-        # materialized dataset loses its schema (a zero-column block would
-        # crash the Acero join below)
-        return marked2.map_batches(
-            _NullHtmlExtract(cfg, seen_handles, robots_disallow,
-                             epoch_token),
-            batch_format="pyarrow",
-            batch_size=cfg.extract_batch_size,
-        )
-
-    hit_keys = fetched.select_columns(["url"]).map_batches(
-        lambda t: t.append_column(
-            "hit", pa.array(np.ones(t.num_rows, dtype=np.int8))),
-        batch_format="pyarrow",
-    )
-    missed = marked2.join(
-        hit_keys, join_type="left_outer", num_partitions=4, on=("url",),
-    ).map_batches(
-        lambda t: t.filter(_pc.is_null(t["hit"])), batch_format="pyarrow",
-    )
-    return missed.map_batches(
-        _NullHtmlExtract(cfg, seen_handles, robots_disallow, epoch_token),
-        batch_format="pyarrow",
-        batch_size=cfg.extract_batch_size,
-    )
-
 
 
 def _download_lane(new_tasks, pending_retry, cfg, mode, corpus_ref,
@@ -1614,7 +1422,7 @@ def _download_lane(new_tasks, pending_retry, cfg, mode, corpus_ref,
         # tail carries to the next epoch's priority lane unchanged
         next_retry = work[cfg.download_budget_per_epoch:]
         work = work[: cfg.download_budget_per_epoch]
-    dl_tbl = _empty_downloads(epoch)
+    dl_tbl = _empty_downloads()
     if work:
         d_tbl = pa.table(
             {
@@ -1625,9 +1433,9 @@ def _download_lane(new_tasks, pending_retry, cfg, mode, corpus_ref,
         )
         if mode == "broadcast" and _downloads_in_driver(d_tbl.num_rows,
                                                          corpus_ref):
-            # in the driver, like scan mode's miss rows: a corpus-index
-            # lookup per url, microseconds against a Ray Data job's launch
-            # (the driver's ray.get of the corpus is zero-copy)
+            # in the driver: a corpus-index lookup per url, microseconds
+            # against a Ray Data job's launch (the driver's ray.get of the
+            # corpus is zero-copy)
             dl_out = DownloadSim(cfg, corpus_ref)(d_tbl)
         elif mode in ("broadcast", "http"):
             from ._schema import auto_pool
@@ -1666,7 +1474,7 @@ def _download_lane(new_tasks, pending_retry, cfg, mode, corpus_ref,
 
 def _download_local(d_tbl: pa.Table, pages_path: str,
                     cfg: CrawlConfig) -> pa.Table | None:
-    """Join/scan-mode download simulation via the corpus' hash-bucket
+    """Join-mode download simulation via the corpus' hash-bucket
     layout: each task reads ONLY its doc keys' buckets' (url, blen)
     columns, never a whole-corpus scan (a scan measured 5.4 s/epoch at
     sf0.1 for a few hundred docs). A key absent from its bucket is a
@@ -1677,7 +1485,7 @@ def _download_local(d_tbl: pa.Table, pages_path: str,
     over the tiny key table + a contiguous split — a
     groupby("bucket").map_groups here paid a full Ray all-to-all plus
     ~n_buckets task launches per epoch for a few hundred rows (measured
-    8-19 s/epoch at sf0.1: the r4 crawl_scan_steady regression)."""
+    8-19 s/epoch at sf0.1)."""
     from ..sources.pages import bucketed_pages, key_bucket
 
     root, n_buckets = bucketed_pages(pages_path)
@@ -1733,7 +1541,7 @@ def _download_local(d_tbl: pa.Table, pages_path: str,
                 }
             ))
         if not parts:
-            return _empty_downloads(0).drop_columns(["epoch"])
+            return _empty_downloads().drop_columns(["epoch"])
         return pa.concat_tables(parts, promote_options="default")
 
     return _collect(d_ds.map_batches(fetch_blen, batch_format="pyarrow"))

@@ -67,12 +67,16 @@ def key_bucket(keys, n_buckets: int):
 
 
 def _bucket_count(n_rows: int) -> int:
-    """~50k pages per bucket (a group task reads+extracts one bucket
-    serially, so bucket size bounds both straggler skew and task heap).
-    Floor 256: measured at sf0.1/32 CPUs, 32 buckets straggled the fetch
-    to 18.5 s where 256 ran it in 4.2 s — buckets must outnumber cores by
-    enough that the longest task is a small fraction of the stage."""
-    return max(256, min(65536, n_rows // 50_000 + 1))
+    """At most ~50k pages per bucket (a group task reads+extracts one
+    bucket serially, so bucket size bounds both straggler skew and task
+    heap), and about one bucket per 1,000 pages up to 256: measured at
+    sf0.1/32 CPUs, 32 buckets straggled the fetch to 18.5 s where 256 ran
+    it in 4.2 s, while on a 6,000-page corpus 256 near-empty buckets cost
+    a full-frontier epoch ~1.2 s of group tasks against 7 buckets. Rows
+    only, never the CPU count: the layout persists and is reused across
+    cluster sizes."""
+    return min(65536, max(min(256, n_rows // 1000 + 1),
+                          n_rows // 50_000 + 1))
 
 
 def bucketed_pages(corpus_dir: str) -> tuple[str, int]:

@@ -18,9 +18,8 @@ Corpus access modes (cfg.fetch_mode; ``http`` fetches live URLs instead):
   metadata, never bodies) groups by the corpus' persistent hash bucket and
   each task attaches html from its own bucket's parquet
   (``LocalBucketJoin``), then runs ``ExtractJoined`` — the 100 TB path; no
-  single process ever holds the corpus.
-- ``scan``: stream the corpus against a broadcast index of the scheduled
-  frontier (``ScanFetch``) — right when frontier ≪ corpus.
+  single process ever holds the corpus, and buckets no frontier key hashes
+  into are never read.
 
 Raw-URL revisit filtering (colly's internal storage, T2 —
 crawler_twotier.go:200) arrives as a precomputed ``revisit`` column: a
@@ -354,69 +353,6 @@ class FetchAndExtract:
         return _set_counter(out, "doc_offers_sent", n_doc)
 
 
-# per-worker-process scheduled-frontier index for scan mode: one concat +
-# dict build per epoch per process (keyed on the epoch token), shared by
-# every corpus batch the process scans
-_SCHED_CACHE: dict = {}
-
-
-def cached_sched_index(refs, token: str):
-    """(sched_table, fetch_key → [row idx]) for this epoch's scheduled
-    rows. fetch_key is NOT unique — a seed-revisit row shares its key with
-    the primary row — hence the index maps to row LISTS."""
-    cur = _SCHED_CACHE.get("cur")
-    if cur is None or cur[0] != token:
-        tbls = ray.get(list(refs)) if isinstance(refs, (list, tuple)) \
-            else [ray.get(refs)]
-        t = pa.concat_tables([x for x in tbls if x.num_rows] or tbls)
-        t = t.combine_chunks()
-        idx: dict[str, list[int]] = {}
-        for i, k in enumerate(t["fetch_key"].to_pylist()):
-            idx.setdefault(k, []).append(i)
-        cur = (token, t, idx)
-        _SCHED_CACHE["cur"] = cur
-    return cur[1], cur[2]
-
-
-class ScanFetch:
-    """fetch_mode="scan" stage: map over the CORPUS stream; per batch, find
-    the scheduled rows this batch's pages satisfy (worker-cached frontier
-    index), attach their html, and run the join-mode extract kernel.
-
-    The right fetch shape when frontier ≪ corpus: page bodies never
-    shuffle and no process holds the corpus (unlike broadcast mode).
-    Scheduled keys absent from the entire corpus never appear in the scan —
-    the CALLER must synthesize their 404/304 rows (misses = scheduled ∖
-    fetched urls)."""
-
-    def __init__(self, sched_refs, cfg, seen_handles: list,
-                 robots_disallow: dict | None = None, epoch_token: str = ""):
-        self.sched_refs = sched_refs
-        self.epoch_token = epoch_token
-        self.inner = ExtractJoined(cfg, seen_handles, robots_disallow,
-                                   epoch_token)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        sched, idx = cached_sched_index(self.sched_refs, self.epoch_token)
-        mask = pc.is_in(batch["url"], value_set=sched["fetch_key"])
-        hit = batch.filter(mask)
-        if hit.num_rows == 0:
-            return FETCHED_SCHEMA.empty_table()
-        take_sched: list[int] = []
-        take_html: list[int] = []
-        for j, u in enumerate(hit["url"].to_pylist()):
-            for i in idx[u]:
-                take_sched.append(i)
-                take_html.append(j)
-        joined = sched.take(pa.array(take_sched, pa.int64()))
-        joined = joined.append_column(
-            "html", hit["html"].take(pa.array(take_html, pa.int64()))
-        )
-        return self.inner(joined)
-
-
 def add_fetch_key(batch: pa.Table) -> pa.Table:
     """Join-mode stage 1: attach the corpus join key."""
     fks = [fetch_key(u) or "" for u in batch["url"].to_pylist()]
@@ -563,9 +499,8 @@ class LocalBucketJoin:
 
 
 class ExtractJoined:
-    """Shared extract stage after a left-outer corpus lookup (the join-mode
-    bucket join and the scan-mode miss rows): turn the (nullable) html
-    column into statuses, extract, and offer candidates."""
+    """Extract stage after the join-mode left-outer bucket lookup: turn the
+    (nullable) html column into statuses, extract, and offer candidates."""
 
     def __init__(self, cfg: CrawlConfig, seen_handles: list,
                  robots_disallow: dict | None = None, epoch_token: str = ""):

@@ -5,13 +5,9 @@ The reference prints live counters from a dedicated monitor goroutine
 rates). Here a single named Ray actor holds the same gauges; run_crawl
 pushes one update per epoch (fire-and-forget — never on the hot path) and
 any process in the cluster can read ``snapshot()`` while a crawl runs.
-With ``echo=True`` the actor also prints a monitor-style line per epoch.
 """
 
 from __future__ import annotations
-
-import sys
-import time
 
 import ray
 
@@ -21,9 +17,7 @@ METRICS_ACTOR_NAME = "graft_crawl_metrics"
 class CrawlMetrics:
     """Per-epoch gauges + lifetime totals. Instantiated via ray.remote."""
 
-    def __init__(self, echo: bool = False):
-        self.echo = echo
-        self.t0 = time.time()
+    def __init__(self):
         self.epochs: list[dict] = []
         self.totals = {
             "scheduled": 0, "fetched_ok": 0, "fetch_err": 0,
@@ -38,27 +32,11 @@ class CrawlMetrics:
             self.totals[k] += int(gauges.get(k, 0))
         for k in ("retries_pending", "seen_total", "frontier_next"):
             self.totals[k] = int(gauges.get(k, self.totals[k]))
-        if self.echo:
-            e = gauges.get("epoch")
-            rate = self.totals["fetched_ok"] / max(time.time() - self.t0, 1e-9)
-            print(
-                f"[crawl-metrics] epoch={e} sched={gauges.get('scheduled')} "
-                f"ok={gauges.get('fetched_ok')} err={gauges.get('fetch_err')} "
-                f"docs={gauges.get('docs_queued')} "
-                f"dl_ok={gauges.get('downloads_ok')} "
-                f"seen={gauges.get('seen_total')} "
-                f"frontier={gauges.get('frontier_next')} "
-                f"avg_pages/s={rate:.0f}",
-                file=sys.stderr, flush=True,
-            )
 
-    def reset(self, echo: bool | None = None) -> None:
+    def reset(self) -> None:
         """Start-of-run reset: the actor is NAMED and outlives run_crawl
         calls (so external observers keep one address), but each run's
         attached snapshot must describe that run only."""
-        if echo is not None:
-            self.echo = echo
-        self.t0 = time.time()
         self.epochs = []
         for k in self.totals:
             self.totals[k] = 0
@@ -71,7 +49,7 @@ class CrawlMetrics:
         }
 
 
-def get_or_create_metrics(echo: bool = False, reset: bool = False):
+def get_or_create_metrics(reset: bool = False):
     """Named handle (lifetime = driver session). Observers get the handle
     untouched; a crawl STARTING a run passes ``reset=True`` so its
     attached snapshot describes that run only — the getter itself must
@@ -81,9 +59,9 @@ def get_or_create_metrics(echo: bool = False, reset: bool = False):
     except ValueError:
         cls = ray.remote(num_cpus=0.01)(CrawlMetrics)
         try:
-            h = cls.options(name=METRICS_ACTOR_NAME).remote(echo)
+            h = cls.options(name=METRICS_ACTOR_NAME).remote()
         except ValueError:  # raced another creator
             h = ray.get_actor(METRICS_ACTOR_NAME)
     if reset:
-        ray.get(h.reset.remote(echo))
+        ray.get(h.reset.remote())
     return h

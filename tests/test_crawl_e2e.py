@@ -139,90 +139,93 @@ def test_crawl_join_mode(tiny_corpus_dir):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_crawl_scan_mode(tiny_corpus_dir):
-    """Corpus-scan fetch path (frontier ≪ corpus: bodies never shuffle,
-    no process holds the corpus, misses synthesized driver-side) must be
-    semantically identical to broadcast mode — including 404s for
-    scheduled keys the corpus lacks and 304s for seed revisits."""
-    cfg = CrawlConfig(fetch_mode="scan")
-    o = crawl_sim.crawl(load_corpus_dict(tiny_corpus_dir), _seeds(tiny_corpus_dir),
-                        CrawlConfig())
-    e = run_crawl(tiny_corpus_dir, cfg)
-    assert_matches_oracle(e, o)
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_crawl_scan_mode_with_budgets(tiny_corpus_dir):
-    """Scan mode composed with per-host politeness budgets (deferrals +
-    priority lanes) must still equal the oracle."""
-    cfg = CrawlConfig(fetch_mode="scan")
+def test_crawl_join_mode_with_budgets(tiny_corpus_dir):
+    """The bucket join composed with per-host politeness budgets
+    (deferrals + priority lanes) on the driver loop must equal the
+    oracle."""
+    cfg = CrawlConfig(fetch_mode="join", frontier_mode="driver")
     budgets = {"host00.test": 4, "host01.test": 3}
     o = crawl_sim.crawl(
         load_corpus_dict(tiny_corpus_dir), _seeds(tiny_corpus_dir),
         CrawlConfig(), host_budgets=budgets,
     )
     e = run_crawl(tiny_corpus_dir, cfg, host_budgets=budgets)
+    assert 1 in set(e.order["priority"].to_pylist())
     assert_matches_oracle(e, o)
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_scan_fetch_multi_match(ray_session):
-    """Two scheduled rows sharing one fetch_key (a seed-revisit twin) must
-    BOTH be emitted from the single matching corpus row."""
-    import pyarrow as pa
+def test_crawl_join_mode_many_buckets(tmp_path, monkeypatch):
+    """A corpus small enough for one bucket says nothing about routing
+    frontier keys and download keys to the right bucket: spread the
+    60-page corpus over 16 buckets and the join must still equal the
+    oracle (both frontier loops)."""
+    import json
 
-    from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.stages.fetch import (
-        ScanFetch,
-        add_fetch_key,
+    from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.sources import (
+        pages,
     )
-    from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.stages.seen import (
-        ShardedSeen,
-    )
-    import ray as _ray
 
-    seen = ShardedSeen(2)
-    try:
-        sched = add_fetch_key(pa.table(
-            {
-                "url": ["http://h.test/a", "http://h.test/a#frag"],
-                "url_norm": ["http://h.test/a"] * 2,
-                "host": ["h.test"] * 2,
-                "depth": pa.array([0, 0], pa.int32()),
-                "priority": pa.array([0, 0], pa.int32()),
-                "revisit": [False, True],
-            }
-        ))
-        assert len(set(sched["fetch_key"].to_pylist())) == 1
-        ref = _ray.put(sched)
-        sf = ScanFetch(ref, CrawlConfig(), seen.handles(), {}, "tok-mm")
-        corpus_batch = pa.table(
-            {
-                "url": [sched["fetch_key"][0].as_py(), "http://other.test/x"],
-                "html": [b"<html><a href=\"/b\">b</a></html>", b"<html></html>"],
-            }
-        )
-        out = sf(corpus_batch)
-        assert out.num_rows == 2
-        statuses = sorted(out["status"].to_pylist())
-        assert statuses == [200, 304]  # primary fetched, twin revisit-304
-    finally:
-        seen.kill()
+    monkeypatch.setattr(pages, "_bucket_count", lambda n_rows: 16)
+    d = write_corpus(str(tmp_path / "tiny16"), n_pages=60, n_hosts=3,
+                     seed=7, include_huge=False)
+    o = crawl_sim.crawl(load_corpus_dict(d), _seeds(d), CrawlConfig())
+    e = run_crawl(d, CrawlConfig(fetch_mode="join"))
+    root, n_buckets = pages.bucketed_pages(os.path.join(d, "pages"))
+    with open(os.path.join(root, "meta.json")) as f:
+        assert n_buckets == 16 and json.load(f)["buckets_written"] > 8
+    assert_matches_oracle(e, o)
+    ds = run_crawl(d, CrawlConfig(fetch_mode="join", record_order=False,
+                                  frontier_mode="dataset"), collect=False)
+    assert ds.pages_fetched == e.pages_fetched
+    assert ds.counters["scheduled_total"] == len(o.order)
+    by = [("url", "ascending"), ("attempt", "ascending")]
+    assert ds.downloads.sort_by(by).equals(e.downloads.sort_by(by))
+
+
+@pytest.mark.parametrize("n_rows,n_buckets", [
+    (60, 1), (6_000, 7), (240_000, 241), (13_000_000, 261),
+])
+def test_bucket_count_follows_corpus_rows(n_rows, n_buckets):
+    from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.sources.pages import (  # noqa: E501
+        _bucket_count,
+    )
+
+    assert _bucket_count(n_rows) == n_buckets
+
+
+@pytest.mark.parametrize("field,value", [
+    ("fetch_mode", "scan"), ("fetch_mode", "shuffle"),
+    ("frontier_mode", "scan"), ("frontier_mode", "pandas"),
+])
+def test_config_rejects_unknown_modes(field, value):
+    with pytest.raises(ValueError, match=field):
+        CrawlConfig(**{field: value})
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_crawl_scan_mode_dataset_frontier(tiny_corpus_dir):
-    """Scan fetch under the Dataset-native frontier (block-ref frontier
-    broadcast + keys-only anti-join for misses) must produce the same
-    counters as the broadcast run."""
-    ref = run_crawl(tiny_corpus_dir, CrawlConfig(record_order=False),
-                    collect=False)
-    e = run_crawl(tiny_corpus_dir,
-                  CrawlConfig(record_order=False, fetch_mode="scan"),
-                  collect=False)
-    for k in ("epochs", "pages_fetched", "scheduled_total"):
-        assert e.counters.get(k) == ref.counters.get(k), k
-    assert e.downloads.num_rows == ref.downloads.num_rows
-    assert e.downloads.sort_by("url").equals(ref.downloads.sort_by("url"))
+def test_both_loops_report_the_same_phases(tiny_corpus_dir):
+    """Each crawl call reports summed seconds per phase; both frontier
+    loops report the same phase keys, and the phases add up to no more
+    than the call's wall time."""
+    import time
+
+    calls = [
+        (CrawlConfig(), {}),
+        (CrawlConfig(record_order=False, frontier_mode="dataset"),
+         {"collect": False}),
+    ]
+    keys = []
+    for cfg, kw in calls:
+        t0 = time.perf_counter()
+        e = run_crawl(tiny_corpus_dir, cfg, **kw)
+        wall = time.perf_counter() - t0
+        phases = e.counters["phases"]
+        keys.append(list(phases))
+        assert all(v >= 0 for v in phases.values())
+        assert phases["fetch"] > 0 and phases["setup"] > 0
+        assert sum(phases.values()) <= wall
+    assert keys[0] == keys[1]
 
 
 @pytest.mark.usefixtures("ray_session")
