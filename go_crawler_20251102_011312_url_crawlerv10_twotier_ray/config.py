@@ -52,10 +52,11 @@ class CrawlConfig:
     # pool lives for the Ray session and is reused by every crawl call
     # (stages/seen.ShardedSeen)
     seen_shards: int = 0
-    # map_batches batch size for the extract stage
+    # most rows per fetch+extract batch. The driver loop cuts an epoch into
+    # blocks of at most this many rows, smaller ones when that gives every
+    # CPU a block, and maps one batch per block; the dataset loop maps
+    # batches of this size
     extract_batch_size: int = 256
-    # actor-pool size for the extract stage; None = stateless tasks
-    extract_concurrency: int | None = None
     # fetch mode: "broadcast" (corpus index via ray.put — small corpora),
     # "join" (keys-first: frontier keys group by the corpus' persistent
     # hash-bucket layout, each task reads its bucket's parquet locally;

@@ -2,7 +2,7 @@
 
 Re-expresses the reference's unbounded async colly loop
 (crawler/crawler_twotier.go:248-254 + OnResponse at :98-175) as a
-deterministic sequence of bounded Ray Data pipelines, one per epoch
+deterministic sequence of bounded epochs, each at most one Ray Data job
 (SURVEY.md §2.8): the driver loop is the "stream", each epoch is
 
     frontier ──(sort + per-host politeness budget + seed-set revisit
@@ -23,10 +23,15 @@ deterministic sequence of bounded Ray Data pipelines, one per epoch
 
 Scheduling state (the frontier) is URL rows only — thousands of times
 smaller than the page bodies, which stream through the fetch/extract/
-candidate stages without ever being materialized on the driver. This
-loop schedules the frontier driver-side in pandas (``_schedule_pandas``);
-the dataset-frontier loop (``frontier_mode="dataset"``) keeps it a
-Dataset end to end. Page-body stages are ALWAYS distributed.
+candidate stages without being materialized on the driver (bar a small
+epoch the driver fetches itself, below). This loop schedules the
+frontier driver-side in pandas (``_schedule_pandas``); the
+dataset-frontier loop (``frontier_mode="dataset"``) keeps it a
+Dataset end to end. Page-body stages are distributed, spread over every
+CPU from the first task (``_table_dataset``), except in a broadcast
+driver-loop epoch of at most ``DRIVER_FETCH_ROWS`` URLs: a job's fixed
+cost is more than its work, so the driver fetches it against the corpus
+index its download lane already holds.
 
 Determinism (matches oracle/crawl_sim.py — the shared spec):
 - epoch sort key (-priority, host, url_norm, url);
@@ -243,24 +248,62 @@ def _accepted_to_table(accepted: pa.Table) -> pa.Table | None:
     )
 
 
-def _fetch_dataset(sched_ds: rd.Dataset, n_rows: int, mode: str,
-                   cfg: CrawlConfig, corpus_ref, pages_path: str,
+# A job over a driver-held table cuts it into at most MAX_BLOCKS blocks,
+# and into one per CPU only while a block keeps MIN_BLOCK_ROWS rows: a
+# task costs ~5-10 ms to launch (sweep in CHANGES.md).
+MIN_BLOCK_ROWS = 64
+MAX_BLOCKS = 32
+
+
+def _job_blocks(n_rows: int, max_block_rows: int) -> int:
+    """Blocks of a job over ``n_rows`` driver-held rows: one per
+    ``max_block_rows`` rows, or one per CPU (blocks of at least
+    ``MIN_BLOCK_ROWS``), whichever is more, at most ``MAX_BLOCKS``."""
+    n_cpu = int(ray.cluster_resources().get("CPU", 8))
+    per_cpu = min(n_cpu, -(-n_rows // MIN_BLOCK_ROWS))
+    return max(1, min(MAX_BLOCKS, max(-(-n_rows // max_block_rows), per_cpu)))
+
+
+def _table_dataset(t: pa.Table, n_blocks: int) -> tuple[rd.Dataset, int]:
+    """A driver-held table as a Dataset of ``n_blocks`` contiguous slices,
+    and the rows of its largest block. No ``repartition``: that is an
+    all-to-all stage with a barrier. A map over it with ``batch_size`` at most the block rows runs one task
+    per block (a larger one bundles blocks into fewer tasks).
+
+    The plan's own context (never the global ``DataContext``) turns off
+    Ray Data's per-operator object-store reservation. Before a task of an
+    operator has finished, Ray 2.49 assumes each pending task outputs
+    ``target_max_block_size`` × its generator buffer (256 MiB), which does
+    not fit a map operator's reserved share of a small object store: on a
+    600 MiB store the first of four tasks ran alone for 0.08-0.14 s."""
+    per = max(1, -(-t.num_rows // n_blocks))
+    ds = rd.from_arrow([t.slice(i, per)
+                        for i in range(0, max(1, t.num_rows), per)])
+    ds.context.op_resource_reservation_enabled = False
+    return ds, per
+
+
+def _fetch_dataset(sched_ds: rd.Dataset, n_rows: int, batch_rows: int,
+                   mode: str, cfg: CrawlConfig, corpus_ref, pages_path: str,
                    seen_handles: list, robots_disallow: dict,
                    epoch_token: str) -> rd.Dataset:
     """The epoch's lazy fused fetch+extract+offer plan over the ``n_rows``
-    scheduled rows (``revisit`` marked; both loops cut them into blocks of
-    ``cfg.extract_batch_size``), for both frontier loops. ``broadcast``
-    looks pages up in the zero-copy corpus broadcast; ``http`` fetches
-    live through an autoscaling actor pool (client built once per actor);
-    ``join`` is keys-first: the frontier (keys + metadata, never bodies)
-    groups by the corpus' persistent hash-bucket layout and each task
-    joins against its own bucket's parquet in place
-    (stages/fetch.LocalBucketJoin)."""
+    scheduled rows (``revisit`` marked), for both frontier loops, mapped
+    in batches of ``batch_rows``: the driver loop passes its blocks' rows
+    (``_table_dataset``), so each block is one task; the dataset loop
+    passes ``cfg.extract_batch_size``. ``broadcast`` looks pages up in
+    the zero-copy corpus broadcast; ``http`` fetches live through an
+    autoscaling actor pool (client built once per actor); ``join`` is
+    keys-first: the frontier (keys + metadata, never bodies) groups by the
+    corpus' persistent hash-bucket layout and each task joins against its
+    own bucket's parquet in place (stages/fetch.LocalBucketJoin). A
+    driver-loop broadcast epoch of at most ``DRIVER_FETCH_ROWS`` rows runs
+    ``FetchAndExtract`` in the driver instead (``run_crawl``)."""
     if mode == "broadcast":
         return sched_ds.map_batches(
             FetchAndExtract(cfg, corpus_ref, seen_handles, robots_disallow,
                             epoch_token),
-            batch_format="pyarrow", batch_size=cfg.extract_batch_size,
+            batch_format="pyarrow", batch_size=batch_rows,
         )
     if mode == "http":
         from ._schema import auto_pool
@@ -269,7 +312,7 @@ def _fetch_dataset(sched_ds: rd.Dataset, n_rows: int, mode: str,
             HttpFetch,
             fn_constructor_args=(cfg, seen_handles, robots_disallow,
                                  epoch_token),
-            batch_format="pyarrow", batch_size=cfg.extract_batch_size,
+            batch_format="pyarrow", batch_size=batch_rows,
             concurrency=auto_pool(),
         )
     from ..sources.pages import bucketed_pages, key_bucket
@@ -291,12 +334,12 @@ def _fetch_dataset(sched_ds: rd.Dataset, n_rows: int, mode: str,
         return kern(g)
 
     stamped = sched_ds.map_batches(stamp, batch_format="pyarrow",
-                                   batch_size=cfg.extract_batch_size)
+                                   batch_size=batch_rows)
     # the sort behind groupby keeps its input's block count, so a small
     # frontier would read and extract every bucket it hits in ONE task:
     # spread it so up to 2 × CPUs buckets are read in parallel
     n_part = min(n_buckets, 2 * int(ray.cluster_resources().get("CPU", 8)))
-    if n_part > -(-n_rows // cfg.extract_batch_size):
+    if n_part > -(-n_rows // batch_rows):
         stamped = stamped.repartition(n_part)
     return (
         stamped.groupby("bucket")   # one call per BUCKET, not per key
@@ -447,20 +490,24 @@ def _corpus_broadcast(pages_path: str):
     return ref
 
 
-# The broadcast download lane runs in the driver up to these sizes, and
-# only for a corpus the session cache holds (so the driver builds its
-# url -> row index once per session and corpus, never per call). Measured
-# at 4 logical CPUs on synthetic corpora (100-byte bodies) against the Ray
-# Data job it replaces: a 16,384-row batch took 0.14-0.20 s in the driver
-# and 0.20-0.28 s as a job, a 100,000-row batch 0.9-1.2 s against
-# 0.56-0.72 s; the driver's index took 0.29 s and 42 MB once at 240,000
-# corpus rows, and 3.2 s and 350 MB at 2,000,000.
+# The broadcast lanes run in the driver up to these sizes, and only for a
+# corpus the session cache holds with at most DRIVER_DOWNLOAD_CORPUS_ROWS
+# rows (so the driver builds its url -> row index once per session and
+# corpus, never per call). Measured at 4 logical CPUs against the Ray Data
+# job each replaces. Downloads, on synthetic corpora (100-byte bodies): a
+# 16,384-row batch took 0.14-0.20 s in the driver and 0.20-0.28 s as a
+# job, a 100,000-row batch 0.9-1.2 s against 0.56-0.72 s; the driver's
+# index took 0.29 s and 42 MB once at 240,000 corpus rows, and 3.2 s and
+# 350 MB at 2,000,000. Fetch epochs, on the perfbench crawl_bfs corpora:
+# see DRIVER_FETCH_ROWS' sweep in CHANGES.md.
 DRIVER_DOWNLOAD_BATCH_ROWS = 16384
 DRIVER_DOWNLOAD_CORPUS_ROWS = 240_000
+DRIVER_FETCH_ROWS = 192
 
 
-def _downloads_in_driver(n_rows: int, corpus_ref) -> bool:
-    if n_rows > DRIVER_DOWNLOAD_BATCH_ROWS:
+def _in_driver(n_rows: int, limit: int, corpus_ref) -> bool:
+    """Whether a broadcast lane runs its ``n_rows`` rows in the driver."""
+    if n_rows > limit:
         return False
     with _CORPUS_LOCK:
         return any(e[2] == corpus_ref and e[4] <= DRIVER_DOWNLOAD_CORPUS_ROWS
@@ -702,6 +749,7 @@ def run_crawl(
                     pass
 
     epoch = start_epoch
+    fetch_epochs = {"driver": 0, "job": 0}
     timer.lap("setup")
     try:
         while len(frontier) > 0 or pending_retry:
@@ -736,25 +784,38 @@ def run_crawl(
             dispatched_seed_raws.update(set(scheduled["url"]) & seed_raw_set)
 
             epoch_token = seen.epoch_token(epoch)
-            fetched = None  # stays None in a retry-drain epoch
+            # the epoch's fetched rows: None in a retry-drain epoch, a
+            # table when the driver fetched them, else a Dataset
+            fetched = None
+            in_driver = False
             if len(scheduled):
                 sched_tbl = pa.Table.from_pandas(
                     scheduled[FRONTIER_COLS + ["revisit"]],
                     preserve_index=False,
                 )
-                n_blocks = max(1, min(32, (len(scheduled)
-                                           + cfg.extract_batch_size - 1)
-                                      // cfg.extract_batch_size))
-                fetched = _fetch_dataset(
-                    rd.from_arrow(sched_tbl).repartition(n_blocks),
-                    len(scheduled), mode, cfg, corpus_ref, pages_path,
-                    seen.handles(), robots_disallow, epoch_token,
-                )
+                in_driver = mode == "broadcast" and _in_driver(
+                    len(scheduled), DRIVER_FETCH_ROWS, corpus_ref)
+                fetch_epochs["driver" if in_driver else "job"] += 1
+                if not in_driver:
+                    sched_ds, batch_rows = _table_dataset(
+                        sched_tbl, _job_blocks(len(scheduled),
+                                               cfg.extract_batch_size))
+                    fetched = _fetch_dataset(
+                        sched_ds, len(scheduled), batch_rows, mode, cfg,
+                        corpus_ref, pages_path, seen.handles(),
+                        robots_disallow, epoch_token,
+                    )
             timer.lap("schedule")
-            # materialize barriers the epoch: every fetch task has extracted
-            # AND submitted its candidate offers (fire-and-forget) before
-            # the fence below
-            if fetched is not None:
+            if in_driver:
+                # less work than a job's fixed cost: the driver holds the
+                # same corpus index for its download lane
+                fetched = FetchAndExtract(
+                    cfg, corpus_ref, seen.handles(), robots_disallow,
+                    epoch_token)(sched_tbl)
+            elif fetched is not None:
+                # materialize barriers the epoch: every fetch task has
+                # extracted AND submitted its candidate offers
+                # (fire-and-forget) before the fence below
                 fetched = fetched.materialize()
             timer.lap("fetch")
 
@@ -763,8 +824,9 @@ def run_crawl(
             # collect=False (steady/100 TB) runs ONE tiny stats job
             ext_tbl = None
             if collect:
-                ext_tbl = (_collect(fetched) if fetched is not None
-                           else None) or FETCHED_SCHEMA.empty_table()
+                if isinstance(fetched, rd.Dataset):
+                    fetched = _collect(fetched)
+                ext_tbl = fetched or FETCHED_SCHEMA.empty_table()
             counts = _epoch_counts(ext_tbl if collect else fetched)
             # (collect=True resets pages_fetched from the extracted rows
             # after the loop)
@@ -837,6 +899,8 @@ def run_crawl(
             )
             if fetched is not None and not collect:
                 # distributed sinks: one partition dir per epoch
+                if isinstance(fetched, pa.Table):
+                    fetched = rd.from_arrow(fetched)
                 if cfg.checkpoint_dir:
                     fetched.write_parquet(os.path.join(
                         cfg.checkpoint_dir, f"epoch={epoch}", "extracted"))
@@ -909,6 +973,7 @@ def run_crawl(
         "pages_fetched": res.pages_fetched,
         "seen": res.seen.num_rows if res.seen is not None else 0,
         "phases": timer.phases,
+        "fetch_epochs": fetch_epochs,
     }
     if metrics is not None:
         res.counters["metrics"] = ray.get(metrics.snapshot.remote())
@@ -1064,6 +1129,7 @@ def _run_crawl_dataset_frontier(
 
     epoch = 0
     scheduled_total = 0
+    n_fetch_jobs = 0
     if resume and cfg.checkpoint_dir:
         st = _resume_dataset_state(cfg.checkpoint_dir, seen, res, dl_acc,
                                    pending_retry)
@@ -1153,9 +1219,11 @@ def _run_crawl_dataset_frontier(
                         MarkRevisitsInTask(seed_ref, winners_ref),
                         batch_format="pyarrow",
                     ),
-                    frontier_count, mode, cfg, corpus_ref, pages_path,
-                    seen.handles(), robots_disallow, seen.epoch_token(epoch),
+                    frontier_count, cfg.extract_batch_size, mode, cfg,
+                    corpus_ref, pages_path, seen.handles(), robots_disallow,
+                    seen.epoch_token(epoch),
                 )
+                n_fetch_jobs += 1
             timer.lap("schedule")
             if fetched is not None:
                 fetched = fetched.materialize()
@@ -1236,6 +1304,7 @@ def _run_crawl_dataset_frontier(
         "scheduled_total": scheduled_total,
         "seen": None,  # stays sharded/distributed in this mode
         "phases": timer.phases,
+        "fetch_epochs": {"driver": 0, "job": n_fetch_jobs},
     }
     if metrics is not None:
         res.counters["metrics"] = ray.get(metrics.snapshot.remote())
@@ -1431,8 +1500,8 @@ def _download_lane(new_tasks, pending_retry, cfg, mode, corpus_ref,
                 "attempt": pa.array([w[2] for w in work], pa.int32()),
             }
         )
-        if mode == "broadcast" and _downloads_in_driver(d_tbl.num_rows,
-                                                         corpus_ref):
+        if mode == "broadcast" and _in_driver(
+                d_tbl.num_rows, DRIVER_DOWNLOAD_BATCH_ROWS, corpus_ref):
             # in the driver: a corpus-index lookup per url, microseconds
             # against a Ray Data job's launch (the driver's ray.get of the
             # corpus is zero-copy)
@@ -1440,9 +1509,8 @@ def _download_lane(new_tasks, pending_retry, cfg, mode, corpus_ref,
         elif mode in ("broadcast", "http"):
             from ._schema import auto_pool
 
-            d_ds = rd.from_arrow(d_tbl)  # ONE block — split before mapping
-            if d_tbl.num_rows > 16384:
-                d_ds = d_ds.repartition(max(2, d_tbl.num_rows // 8192))
+            d_ds, _ = _table_dataset(
+                d_tbl, _job_blocks(d_tbl.num_rows, 8192))
             if mode == "broadcast":
                 d_ds = d_ds.map_batches(DownloadSim(cfg, corpus_ref),
                                         batch_format="pyarrow")
@@ -1495,15 +1563,11 @@ def _download_local(d_tbl: pa.Table, pages_path: str,
     t = t.append_column("bucket", pa.array(buckets))
     order = np.argsort(buckets, kind="stable")
     t = t.take(pa.array(order, pa.int64()))
-    d_ds = rd.from_arrow(t)
-    try:
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        ncpu = 8
-    n_blocks = max(1, min(ncpu, t.num_rows // 64 + 1,
-                          len(np.unique(buckets)) or 1))
-    if n_blocks > 1:
-        d_ds = d_ds.repartition(n_blocks)
+    ncpu = int(ray.cluster_resources().get("CPU", 8))
+    # contiguous slices of the bucket-sorted rows: a block reads each
+    # bucket of its key range once
+    d_ds, _ = _table_dataset(t, max(1, min(ncpu, t.num_rows // 64 + 1,
+                                           len(np.unique(buckets)) or 1)))
 
     def fetch_blen(g: pa.Table) -> pa.Table:
         import pyarrow.compute as pc

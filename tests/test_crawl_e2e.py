@@ -206,8 +206,9 @@ def test_config_rejects_unknown_modes(field, value):
 @pytest.mark.usefixtures("ray_session")
 def test_both_loops_report_the_same_phases(tiny_corpus_dir):
     """Each crawl call reports summed seconds per phase; both frontier
-    loops report the same phase keys, and the phases add up to no more
-    than the call's wall time."""
+    loops report the same phase keys and count their fetch epochs by
+    placement (the dataset loop never fetches in the driver), and the
+    phases add up to no more than the call's wall time."""
     import time
 
     calls = [
@@ -215,17 +216,20 @@ def test_both_loops_report_the_same_phases(tiny_corpus_dir):
         (CrawlConfig(record_order=False, frontier_mode="dataset"),
          {"collect": False}),
     ]
-    keys = []
+    keys, placements = [], []
     for cfg, kw in calls:
         t0 = time.perf_counter()
         e = run_crawl(tiny_corpus_dir, cfg, **kw)
         wall = time.perf_counter() - t0
         phases = e.counters["phases"]
         keys.append(list(phases))
+        placements.append(e.counters["fetch_epochs"])
         assert all(v >= 0 for v in phases.values())
         assert phases["fetch"] > 0 and phases["setup"] > 0
         assert sum(phases.values()) <= wall
     assert keys[0] == keys[1]
+    assert [sorted(p) for p in placements] == [["driver", "job"]] * 2
+    assert placements[1]["driver"] == 0 and placements[1]["job"] > 0
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -683,15 +687,30 @@ def _count_jobs(monkeypatch) -> list[str]:
     return jobs
 
 
+@pytest.fixture(scope="module")
+def bfs_corpus_dir(tmp_path_factory):
+    """A 700-page corpus shaped like the benchmark's breadth-first crawl:
+    its epochs schedule 1, 23, 651, 1,083, 65 and 3 URLs."""
+    d = str(tmp_path_factory.mktemp("corpus") / "bfs")
+    return write_corpus(d, n_pages=700, n_hosts=20, chain_len=4,
+                        hub_fanout=400, include_huge=False, mint_text=False,
+                        seed=1503)
+
+
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("zero_limit", [None, "DRIVER_DOWNLOAD_CORPUS_ROWS",
-                                        "DRIVER_DOWNLOAD_BATCH_ROWS"])
-def test_broadcast_crawl_starts_one_job_per_epoch(smoke_corpus_dir,
+                                        "DRIVER_DOWNLOAD_BATCH_ROWS",
+                                        "DRIVER_FETCH_ROWS"])
+def test_broadcast_crawl_starts_one_job_per_epoch(bfs_corpus_dir,
                                                   monkeypatch, zero_limit):
-    """A broadcast-mode driver-loop epoch runs one Ray Data job (fetch +
-    extract + offer) and none for its downloads. Past either limit of the
-    driver download lane the downloads run as one more job in each epoch
-    that has them, with the same result."""
+    """A broadcast-mode driver-loop epoch runs at most one Ray Data job
+    (fetch + extract + offer): none when it schedules at most
+    DRIVER_FETCH_ROWS URLs, which the driver fetches, and none for its
+    downloads. Past a limit of the driver lanes (the corpus limit covers
+    both) that work runs as a job in each epoch that has it, with the same
+    result."""
+    from collections import Counter
+
     from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.pipelines import (
         crawl as crawl_mod,
     )
@@ -700,15 +719,54 @@ def test_broadcast_crawl_starts_one_job_per_epoch(smoke_corpus_dir,
         monkeypatch.setattr(crawl_mod, zero_limit, 0)
     jobs = _count_jobs(monkeypatch)
     cfg = CrawlConfig(fetch_mode="broadcast")
-    e = run_crawl(smoke_corpus_dir, cfg)
+    e = run_crawl(bfs_corpus_dir, cfg)
     assert e.downloads.num_rows > 0  # the download lane ran
     assert_matches_oracle(e, crawl_sim.crawl(
-        load_corpus_dict(smoke_corpus_dir), _seeds(smoke_corpus_dir), cfg))
-    n_epochs = len(set(e.order["epoch"].to_pylist()))
-    n_download_jobs = (0 if zero_limit is None
-                       else len(set(e.downloads["epoch"].to_pylist())))
+        load_corpus_dict(bfs_corpus_dir), _seeds(bfs_corpus_dir), cfg))
+    scheduled = Counter(e.order["epoch"].to_pylist()).values()
+    n_fetch_jobs = sum(
+        1 for n in scheduled
+        if n > crawl_mod.DRIVER_FETCH_ROWS
+        or zero_limit == "DRIVER_DOWNLOAD_CORPUS_ROWS")
+    if zero_limit is None:  # the corpus has epochs on both sides
+        assert 0 < n_fetch_jobs < len(scheduled)
+    assert e.counters["fetch_epochs"] == {
+        "driver": len(scheduled) - n_fetch_jobs, "job": n_fetch_jobs}
+    n_download_jobs = (len(set(e.downloads["epoch"].to_pylist()))
+                       if zero_limit in ("DRIVER_DOWNLOAD_CORPUS_ROWS",
+                                         "DRIVER_DOWNLOAD_BATCH_ROWS")
+                       else 0)
     assert sorted(jobs) == (["collect"] * n_download_jobs
-                            + ["materialize"] * n_epochs)
+                            + ["materialize"] * n_fetch_jobs)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_fetch_job_spreads_an_epoch_over_every_cpu(bfs_corpus_dir,
+                                                   monkeypatch):
+    """An epoch of ~600 URLs runs as one fetch task per CPU (4) or more,
+    not as a few blocks of extract_batch_size rows, and the crawl leaves
+    the global DataContext as it found it (the object-store reservation
+    switch goes on each fetch plan's own context)."""
+    import ray.data as rd
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current()
+    before = (ctx.op_resource_reservation_enabled, ctx.target_max_block_size)
+    fetched = []  # (rows, blocks) of each materialized fetch
+    materialize = rd.Dataset.materialize
+
+    def recording_materialize(self):
+        out = materialize(self)
+        fetched.append((out.count(), out.num_blocks()))
+        return out
+
+    monkeypatch.setattr(rd.Dataset, "materialize", recording_materialize)
+    run_crawl(bfs_corpus_dir, CrawlConfig(fetch_mode="broadcast"))
+    big = [blocks for rows, blocks in fetched if 500 <= rows <= 700]
+    assert big and all(blocks >= 4 for blocks in big)
+    assert (ctx.op_resource_reservation_enabled,
+            ctx.target_max_block_size) == before
+    assert DataContext.get_current() is ctx
 
 
 @pytest.mark.usefixtures("ray_session")
