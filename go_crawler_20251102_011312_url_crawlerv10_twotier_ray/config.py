@@ -53,9 +53,9 @@ class CrawlConfig:
     # (stages/seen.ShardedSeen)
     seen_shards: int = 0
     # most rows per fetch+extract batch. The driver loop cuts an epoch into
-    # blocks of at most this many rows, smaller ones when that gives every
-    # CPU a block, and maps one batch per block; the dataset loop maps
-    # batches of this size
+    # one block per this many rows, or one per CPU when that is more (at
+    # most 32 blocks), and maps each block as one task in batches of at
+    # most this many rows; the dataset loop maps batches of this size
     extract_batch_size: int = 256
     # fetch mode: "broadcast" (corpus index via ray.put — small corpora),
     # "join" (keys-first: frontier keys group by the corpus' persistent

@@ -268,8 +268,9 @@ def _job_blocks(n_rows: int, max_block_rows: int) -> int:
 def _table_dataset(t: pa.Table, n_blocks: int) -> tuple[rd.Dataset, int]:
     """A driver-held table as a Dataset of ``n_blocks`` contiguous slices,
     and the rows of its largest block. No ``repartition``: that is an
-    all-to-all stage with a barrier. A map over it with ``batch_size`` at most the block rows runs one task
-    per block (a larger one bundles blocks into fewer tasks).
+    all-to-all stage with a barrier. A map over it with ``batch_size`` at
+    most the block rows runs one task per block (a larger one bundles
+    blocks into fewer tasks).
 
     The plan's own context (never the global ``DataContext``) turns off
     Ray Data's per-operator object-store reservation. Before a task of an
@@ -291,15 +292,16 @@ def _fetch_dataset(sched_ds: rd.Dataset, n_rows: int, batch_rows: int,
     """The epoch's lazy fused fetch+extract+offer plan over the ``n_rows``
     scheduled rows (``revisit`` marked), for both frontier loops, mapped
     in batches of ``batch_rows``: the driver loop passes its blocks' rows
-    (``_table_dataset``), so each block is one task; the dataset loop
-    passes ``cfg.extract_batch_size``. ``broadcast`` looks pages up in
-    the zero-copy corpus broadcast; ``http`` fetches live through an
-    autoscaling actor pool (client built once per actor); ``join`` is
-    keys-first: the frontier (keys + metadata, never bodies) groups by the
-    corpus' persistent hash-bucket layout and each task joins against its
-    own bucket's parquet in place (stages/fetch.LocalBucketJoin). A
-    driver-loop broadcast epoch of at most ``DRIVER_FETCH_ROWS`` rows runs
-    ``FetchAndExtract`` in the driver instead (``run_crawl``)."""
+    (``_table_dataset``) capped at ``cfg.extract_batch_size``, so each
+    block is one task; the dataset loop passes ``cfg.extract_batch_size``.
+    ``broadcast`` looks pages up in the zero-copy corpus broadcast;
+    ``http`` fetches live through an autoscaling actor pool (client built
+    once per actor); ``join`` is keys-first: the frontier (keys +
+    metadata, never bodies) groups by the corpus' persistent hash-bucket
+    layout and each task joins against its own bucket's parquet in place
+    (stages/fetch.LocalBucketJoin). A driver-loop broadcast epoch of at
+    most ``DRIVER_FETCH_ROWS`` rows runs ``FetchAndExtract`` in the driver
+    instead (``run_crawl``)."""
     if mode == "broadcast":
         return sched_ds.map_batches(
             FetchAndExtract(cfg, corpus_ref, seen_handles, robots_disallow,
@@ -804,11 +806,14 @@ def run_crawl(
                     len(scheduled), DRIVER_FETCH_ROWS, corpus_ref)
                 fetch_epochs["driver" if in_driver else "job"] += 1
                 if not in_driver:
-                    sched_ds, batch_rows = _table_dataset(
+                    sched_ds, per = _table_dataset(
                         sched_tbl, _job_blocks(len(scheduled),
                                                cfg.extract_batch_size))
+                    # a batch no larger than a block splits it and never
+                    # bundles blocks: still one task per block
                     fetched = _fetch_dataset(
-                        sched_ds, len(scheduled), batch_rows, mode, cfg,
+                        sched_ds, len(scheduled),
+                        min(per, cfg.extract_batch_size), mode, cfg,
                         corpus_ref, pages_path, seen.handles(),
                         robots_disallow, epoch_token,
                     )
@@ -1516,8 +1521,9 @@ def _download_lane(new_tasks, pending_retry, cfg, mode, corpus_ref,
         elif mode in ("broadcast", "http"):
             from ._schema import auto_pool
 
+            n = d_tbl.num_rows
             d_ds, _ = _table_dataset(
-                d_tbl, _job_blocks(d_tbl.num_rows, 8192))
+                d_tbl, 1 if n <= 16384 else max(2, n // 8192))
             if mode == "broadcast":
                 d_ds = d_ds.map_batches(DownloadSim(cfg, corpus_ref),
                                         batch_format="pyarrow")

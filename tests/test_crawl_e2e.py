@@ -527,6 +527,24 @@ def test_crawl_live_metrics(tiny_corpus_dir):
 def test_checkpoint_resume(tiny_corpus_dir, tmp_path):
     """Kill after 2 epochs, resume from checkpoint: final state must equal
     an uninterrupted run (per-partition lineage, north rule)."""
+    _check_resume_matches_straight_run(tiny_corpus_dir, tmp_path)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_checkpoint_resume_from_fetch_jobs(tiny_corpus_dir, tmp_path,
+                                           monkeypatch):
+    """The same resume when every epoch is fetched by a Ray Data job, not
+    in the driver: the checkpoint writes the fetched Dataset."""
+    from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.pipelines import (
+        crawl as crawl_mod,
+    )
+
+    monkeypatch.setattr(crawl_mod, "DRIVER_FETCH_ROWS", 0)
+    resumed = _check_resume_matches_straight_run(tiny_corpus_dir, tmp_path)
+    assert resumed.counters["fetch_epochs"]["driver"] == 0
+
+
+def _check_resume_matches_straight_run(tiny_corpus_dir, tmp_path):
     ck = str(tmp_path / "ckpt")
     cfg = CrawlConfig(checkpoint_dir=ck)
     full = run_crawl(tiny_corpus_dir, CrawlConfig())
@@ -549,6 +567,7 @@ def test_checkpoint_resume(tiny_corpus_dir, tmp_path):
     rtext = dict(zip(resumed.extracted["url"].to_pylist(),
                      resumed.extracted["text"].to_pylist()))
     assert ftext == rtext
+    return resumed
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -767,6 +786,38 @@ def test_fetch_job_spreads_an_epoch_over_every_cpu(bfs_corpus_dir,
     assert (ctx.op_resource_reservation_enabled,
             ctx.target_max_block_size) == before
     assert DataContext.get_current() is ctx
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_fetch_batches_keep_extract_batch_size(bfs_corpus_dir, tmp_path,
+                                               monkeypatch):
+    """A fetch job maps batches of at most cfg.extract_batch_size rows even
+    where MAX_BLOCKS makes its blocks larger: with 16, the 651-row epoch
+    is cut into 32 blocks of 21 rows."""
+    import uuid
+
+    from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.pipelines import (
+        crawl as crawl_mod,
+    )
+
+    sizes = str(tmp_path / "batch_rows")
+    os.makedirs(sizes)
+
+    class RecordingFetch(crawl_mod.FetchAndExtract):
+        def __call__(self, batch):
+            open(os.path.join(sizes, f"{batch.num_rows}-{uuid.uuid4().hex}"),
+                 "w").close()
+            return super().__call__(batch)
+
+    monkeypatch.setattr(crawl_mod, "DRIVER_FETCH_ROWS", 0)
+    monkeypatch.setattr(crawl_mod, "FetchAndExtract", RecordingFetch)
+    cfg = CrawlConfig(fetch_mode="broadcast", extract_batch_size=16)
+    e = run_crawl(bfs_corpus_dir, cfg)
+    assert_matches_oracle(e, crawl_sim.crawl(
+        load_corpus_dict(bfs_corpus_dir), _seeds(bfs_corpus_dir), cfg))
+    rows = [int(f.split("-")[0]) for f in os.listdir(sizes)]
+    assert sum(rows) == e.order.num_rows
+    assert max(rows) == 16
 
 
 @pytest.mark.usefixtures("ray_session")

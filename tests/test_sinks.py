@@ -68,7 +68,27 @@ def test_document_store(crawl_result, tmp_path):
 @pytest.mark.usefixtures("ray_session")
 def test_collect_false_distributed_sink(tiny2_dir, tmp_path):
     """collect=False: extracted rows land in per-epoch parquet dirs via
-    Dataset.write_parquet; counters still correct."""
+    Dataset.write_parquet; counters still correct. Every epoch of this
+    corpus is small enough to be fetched in the driver."""
+    res = _check_distributed_sink(tiny2_dir, tmp_path)
+    assert res.counters["fetch_epochs"]["job"] == 0
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_collect_false_distributed_sink_from_fetch_jobs(tiny2_dir, tmp_path,
+                                                        monkeypatch):
+    """The same sink when every epoch is fetched by a Ray Data job: the
+    per-epoch stats job over the fetched Dataset and its write_parquet."""
+    from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.pipelines import (
+        crawl as crawl_mod,
+    )
+
+    monkeypatch.setattr(crawl_mod, "DRIVER_FETCH_ROWS", 0)
+    res = _check_distributed_sink(tiny2_dir, tmp_path)
+    assert res.counters["fetch_epochs"]["driver"] == 0
+
+
+def _check_distributed_sink(tiny2_dir, tmp_path):
     ck = str(tmp_path / "ck")
     cfg = CrawlConfig(checkpoint_dir=ck)
     full = run_crawl(tiny2_dir, CrawlConfig())
@@ -86,3 +106,4 @@ def test_collect_false_distributed_sink(tiny2_dir, tmp_path):
             n_rows += pq.read_table(ext_dir).num_rows
     full_all = full.fetch_log.num_rows
     assert n_rows == full_all
+    return res
