@@ -19,17 +19,19 @@ tf-idf hash-checkable):
     R'(u) = (15·(SCALE // n)) // 100  +  (85·S(u)) // 100
 - dangling mass is dropped (documented; both sides agree by construction)
 
-Every operation is int64 floor-division/addition, so the distributed
-groupby-sum, the driver numpy path and the DuckDB chained-CTE oracle are
-bit-identical regardless of partitioning or summation order.
+Every operation is int64 floor-division/addition, so the driver numpy
+path and the DuckDB chained-CTE oracle are bit-identical regardless of
+summation order.
 
 Scale shape: edges are derived inside ``map_batches`` (per-batch distinct
 partial before the global distinct groupby), the node-membership filter is
-a hash JOIN (never a broadcast of the node set), and each iteration is
-join + groupby-sum over the co-keyed edge table. ``mode="driver"``
-(below PR_SMALL_LIMIT edge rows) collects the distinct edge list once and
-runs the same integer recurrence vectorized — size-adaptive twins,
-equality-tested like the MinHash/SimHash tails.
+a hash JOIN (never a broadcast of the node set), and the derived graph is
+persisted next to the corpus. The iterative tails (PageRank, components,
+BFS depth) collect the distinct edge list once and iterate in driver
+memory. Size bound, measured on a synthetic 400k-node URL graph: driver
+peak RSS 0.74 GB at 2M edges and 1.3 GB at 4.9M edges, of which the
+materialized input took 0.6 and 1.0 GB. A join-per-iteration Dataset tail
+lost to these by 140-200x at 2M edges (BASELINE.md), so none is kept.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from ..config import CrawlConfig
 
 PR_SCALE = 10**12
 PR_ITERS = 10
-PR_SMALL_LIMIT = 2_000_000   # distinct edge rows: driver below, distributed above
 GRAPH_ORACLE_ROOT = "/tmp/graft_graphoracle"
 GRAPH_ORACLE_VERSION = "v2"   # v2: + seeds.parquet (link_bfs_depth)
 # persisted engine-derived graph: bump when the extraction/normalization
@@ -224,9 +225,18 @@ def _pr_base(n_nodes: int) -> tuple[int, int]:
     return r0, (15 * r0) // 100
 
 
+def _edge_frame(edges: rd.Dataset) -> pd.DataFrame:
+    """The distinct edges as one (src, dst) string frame, typed even at 0
+    rows: an edgeless corpus leaves a zero-column edge dataset."""
+    df = edges.to_pandas()
+    if df.empty:
+        return pd.DataFrame({"src": [], "dst": []}, dtype=object)
+    return df[["src", "dst"]]
+
+
 def _pagerank_driver(nodes: list[str], edges: pd.DataFrame) -> pd.DataFrame:
-    """The same integer recurrence, vectorized on the driver — for graphs
-    whose DISTINCT edge list fits comfortably (< PR_SMALL_LIMIT rows)."""
+    """The module docstring's integer recurrence, vectorized over node
+    indices."""
     order = sorted(nodes)
     idx = {u: i for i, u in enumerate(order)}
     n = len(order)
@@ -243,98 +253,18 @@ def _pagerank_driver(nodes: list[str], edges: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame({"url_norm": order, "pr_scaled": r})
 
 
-def _pagerank_distributed(
-    nodes: rd.Dataset, edges: rd.Dataset, n_nodes: int
-) -> pd.DataFrame:
-    """Iterative distributed PageRank: the edge table is joined with the
-    rank table per iteration (both hash-partitioned on the join key) and
-    contributions groupby-summed — exact int64 sums are order-independent,
-    so any partitioning gives the same bits."""
-    from ray.data.aggregate import Sum
-
-    from ._schema import heal_blocks
-
-    r0, base = _pr_base(n_nodes)
-
-    deg = edges.groupby("src").count().rename_columns({"count()": "d"})
-    deg = heal_blocks(deg) or deg
-    n_part = max(2, min(1024, edges.count() // 250_000 + 1))
-    edges_deg = edges.join(
-        deg, join_type="inner", num_partitions=n_part, on=("src",)
-    ).materialize()
-    edges_deg = heal_blocks(edges_deg) or edges_deg
-
-    def seed_rank(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "r", pa.array(np.full(t.num_rows, r0, dtype=np.int64)))
-
-    ranks = nodes.map_batches(seed_rank, batch_format="pyarrow").materialize()
-
-    def zero_s(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "node": t["node"],
-                "s": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-            }
-        )
-
-    zeros = nodes.map_batches(zero_s, batch_format="pyarrow").materialize()
-
-    for _ in range(PR_ITERS):
-        joined = edges_deg.join(
-            ranks.rename_columns({"node": "src"}),
-            join_type="inner", num_partitions=n_part, on=("src",),
-        )
-
-        def contrib(t: pa.Table) -> pa.Table:
-            c = (
-                t["r"].to_numpy(zero_copy_only=False)
-                // t["d"].to_numpy(zero_copy_only=False)
-            ).astype(np.int64)
-            return pa.table({"node": t["dst"], "s": pa.array(c)})
-
-        sums = (
-            joined.map_batches(contrib, batch_format="pyarrow")
-            .union(zeros)
-            .groupby("node")
-            .aggregate(Sum("s", alias_name="s"))
-        )
-        sums = heal_blocks(sums) or sums
-
-        def update(t: pa.Table) -> pa.Table:
-            s = t["s"].to_numpy(zero_copy_only=False).astype(np.int64)
-            return pa.table(
-                {
-                    "node": t["node"],
-                    "r": pa.array(base + (85 * s) // 100),
-                }
-            )
-
-        ranks = sums.map_batches(update, batch_format="pyarrow").materialize()
-
-    out = ranks.to_pandas().rename(
-        columns={"node": "url_norm", "r": "pr_scaled"})
-    out["pr_scaled"] = out["pr_scaled"].astype("int64")
-    return out.sort_values("url_norm").reset_index(drop=True)
-
-
-def link_pagerank(sf_dir: str, mode: str = "auto") -> pd.DataFrame:
+def link_pagerank(sf_dir: str) -> pd.DataFrame:
     """(url_norm, pr_scaled): integer PageRank of every corpus page after
     PR_ITERS iterations, pr_scaled summing to ≤ PR_SCALE (dangling mass
-    decays). Size-adaptive: ``driver`` collects the distinct edge list
-    once; ``distributed`` keeps ranks/edges as Datasets end-to-end."""
+    decays). Collects the distinct edge list once and iterates in driver
+    memory (size bound: module docstring)."""
     nodes_ds, edges_ds, n_nodes = _edge_tables(sf_dir)
     if n_nodes == 0:
         return pd.DataFrame(
             {"url_norm": [], "pr_scaled": []}
         ).astype({"url_norm": "object", "pr_scaled": "int64"})
-    if mode == "auto":
-        mode = "driver" if edges_ds.count() < PR_SMALL_LIMIT else "distributed"
-    if mode == "distributed":
-        return _pagerank_distributed(nodes_ds, edges_ds, n_nodes)
     nodes = [r["node"] for r in nodes_ds.take_all()]
-    edges = edges_ds.select_columns(["src", "dst"]).to_pandas()
-    return _pagerank_driver(nodes, edges)
+    return _pagerank_driver(nodes, _edge_frame(edges_ds))
 
 
 # ---------------------------------------------------------------------------
@@ -505,22 +435,6 @@ ORDER BY url_norm
 # connected components (undirected view of the link graph)
 # ---------------------------------------------------------------------------
 
-COMP_SMALL_LIMIT = 2_000_000   # edge rows: driver union-find below
-COMP_MAX_ITERS = 64            # ≥ any real component diameter; loud failure
-
-
-def _label_checksum_batch(t: pa.Table) -> pa.Table:
-    """Order-independent checksum partial over the label column (a
-    string label has no sum to probe): vectorized per-row hashes, modular
-    uint64 sum. Labels only ever
-    DECREASE under min-propagation, so a stalled checksum means a
-    fixpoint up to a 2^-64 collision — the join-free convergence test."""
-    s = pd.Series(t["label"].to_pylist())
-    h = pd.util.hash_pandas_object(s, index=False).to_numpy()
-    with np.errstate(over="ignore"):
-        total = h.sum(dtype=np.uint64)
-    return pa.table({"ck": pa.array([int(total) - 2**63], pa.int64())})
-
 
 def _components_driver(nodes: list, edge_pairs) -> list:
     """min-id union-find with path compression over any ordered node type
@@ -543,99 +457,25 @@ def _components_driver(nodes: list, edge_pairs) -> list:
     return [find(u) for u in nodes]
 
 
-def link_components(sf_dir: str, mode: str = "auto") -> pd.DataFrame:
+def link_components(sf_dir: str) -> pd.DataFrame:
     """(url_norm, component_id, component_size): undirected connected
     components of the link graph; component_id = lexicographically
     smallest url_norm in the component (ASCII URLs ⇒ Python/pandas/DuckDB
-    string mins agree). Size-adaptive twins: driver union-find below
-    COMP_SMALL_LIMIT edges; distributed min-label propagation above (labels ⋈ bidirectional edges → groupby-min per
-    round, O(diameter) rounds, fixpoint detected by an order-independent
-    label checksum, loud failure at COMP_MAX_ITERS)."""
-    from ray.data.aggregate import Min
-
-    from ._schema import heal_blocks
-
+    string mins agree). One union-find pass over the collected edge list
+    in driver memory (size bound: module docstring)."""
     nodes_ds, edges_ds, n_nodes = _edge_tables(sf_dir)
-    empty = pd.DataFrame(
-        {"url_norm": [], "component_id": [], "component_size": []}
-    ).astype({"url_norm": "object", "component_id": "object",
-              "component_size": "int64"})
     if n_nodes == 0:
-        return empty
-
-    def _finish(df: pd.DataFrame) -> pd.DataFrame:
-        sizes = df.groupby("component_id")["url_norm"].transform("size")
-        df = df.assign(component_size=sizes.astype("int64"))
-        return (
-            df[["url_norm", "component_id", "component_size"]]
-            .sort_values("url_norm")
-            .reset_index(drop=True)
-        )
-
-    n_edges = edges_ds.count()
-    if mode == "auto":
-        mode = "driver" if n_edges < COMP_SMALL_LIMIT else "distributed"
-
-    if mode == "driver":
-        nodes = [r["node"] for r in nodes_ds.take_all()]
-        e = edges_ds.to_pandas()
-        df = pd.DataFrame({"url_norm": nodes})
-        df["component_id"] = _components_driver(
-            nodes, list(zip(e["src"], e["dst"])))
-        return _finish(df)
-
-    # ---- distributed tail: min-label propagation over string labels ----
-    n_part = max(2, min(1024, n_edges // 250_000 + 1))
-    bidir = (
-        edges_ds.union(
-            edges_ds.map_batches(
-                lambda t: pa.table({"src": t["dst"], "dst": t["src"]}),
-                batch_format="pyarrow",
-            )
-        ).materialize()
-    )
-    labels = nodes_ds.map_batches(
-        lambda t: pa.table({"node": t["node"], "label": t["node"]}),
-        batch_format="pyarrow",
-    ).materialize()
-
-    def _checksum(ds: rd.Dataset) -> int:
-        return int(
-            ds.map_batches(_label_checksum_batch, batch_format="pyarrow")
-            .to_pandas()["ck"].sum()
-        )
-
-    prev = _checksum(labels)
-    for _ in range(COMP_MAX_ITERS):
-        msg = (
-            bidir.join(
-                labels.rename_columns({"node": "src"}),
-                join_type="inner", num_partitions=n_part, on=("src",),
-            )
-            .map_batches(
-                lambda t: pa.table({"node": t["dst"], "label": t["label"]}),
-                batch_format="pyarrow",
-            )
-        )
-        labels = heal_blocks(
-            labels.union(msg)
-            .groupby("node")
-            .aggregate(Min("label", alias_name="label")),
-            target_blocks=n_part,
-        ).materialize()
-        cur = _checksum(labels)
-        if cur == prev:
-            break
-        prev = cur
-    else:
-        raise RuntimeError(
-            f"link_components: min-label propagation did not converge in "
-            f"{COMP_MAX_ITERS} rounds — component diameter exceeds the "
-            "bound; raise COMP_MAX_ITERS"
-        )
-    df = labels.to_pandas().rename(
-        columns={"node": "url_norm", "label": "component_id"})
-    return _finish(df)
+        return pd.DataFrame(
+            {"url_norm": [], "component_id": [], "component_size": []}
+        ).astype({"url_norm": "object", "component_id": "object",
+                  "component_size": "int64"})
+    nodes = [r["node"] for r in nodes_ds.take_all()]
+    e = _edge_frame(edges_ds)
+    df = pd.DataFrame({"url_norm": nodes})
+    df["component_id"] = _components_driver(nodes, zip(e["src"], e["dst"]))
+    sizes = df.groupby("component_id")["url_norm"].transform("size")
+    df["component_size"] = sizes.astype("int64")
+    return df.sort_values("url_norm").reset_index(drop=True)
 
 
 def components_sql(oracle_dir: str) -> str:
@@ -664,9 +504,8 @@ FROM comp c ORDER BY url_norm
 # BFS depth from the crawl seeds (directed min-hop distance)
 # ---------------------------------------------------------------------------
 
-BFS_MAX_ROUNDS = 99   # shared with the SQL oracle's path-length cap: results
-                      # are equal whenever the fixpoint lands under the cap,
-                      # and the engine fails LOUDLY if it does not
+BFS_MAX_ROUNDS = 99   # shared with the SQL oracle's path-length cap: both
+                      # stop there, so results agree at any eccentricity
 
 
 def _seed_norms(sf_dir: str) -> list[str]:
@@ -701,81 +540,25 @@ def _bfs_driver(seeds: list[str], edge_pairs) -> dict[str, int]:
     return depth
 
 
-def link_bfs_depth(sf_dir: str, mode: str = "auto") -> pd.DataFrame:
+def link_bfs_depth(sf_dir: str) -> pd.DataFrame:
     """(url_norm, depth): minimum DIRECTED hop count from any crawl seed
     over the extracted link graph — the idealized depth map the crawler's
     depth gate approximates (reference depth context:
     crawler_twotier.go:194). Unreachable pages are omitted (matching the
-    SQL oracle's recursive reachability). Size-adaptive twins: driver BFS
-    below PR_SMALL_LIMIT edges; distributed min-depth propagation above —
-    (node, depth) labels ⋈ edges → groupby-min per round, converging in
-    O(eccentricity) rounds with a loud failure at BFS_MAX_ROUNDS."""
-    from ray.data.aggregate import Min
-
-    from ._schema import heal_blocks
-
+    SQL oracle's recursive reachability). One BFS over the collected edge
+    list in driver memory, up to BFS_MAX_ROUNDS hops (size bound: module
+    docstring)."""
     _, edges_ds, n_nodes = _edge_tables(sf_dir)
     seeds = _seed_norms(sf_dir)
-    empty = pd.DataFrame({"url_norm": [], "depth": []}).astype(
-        {"url_norm": "object", "depth": "int64"})
     if n_nodes == 0 or not seeds:
-        return empty
-
-    n_edges = edges_ds.count()
-    if mode == "auto":
-        mode = "driver" if n_edges < PR_SMALL_LIMIT else "distributed"
-
-    if mode == "driver":
-        e = edges_ds.to_pandas()
-        depth = _bfs_driver(seeds, list(zip(e["src"], e["dst"])))
-        out = pd.DataFrame(
-            {"url_norm": list(depth), "depth": list(depth.values())})
-        out["depth"] = out["depth"].astype("int64")
-        return out.sort_values("url_norm").reset_index(drop=True)
-
-    # ---- distributed tail: min-depth label propagation ----
-    n_part = max(2, min(1024, n_edges // 250_000 + 1))
-    labels = rd.from_arrow(
-        pa.table({"node": pa.array(seeds, pa.string()),
-                  "depth": pa.array([0] * len(seeds), pa.int64())})
-    ).materialize()
-
-    prev = (-1, -1)
-    for _ in range(BFS_MAX_ROUNDS):
-        msg = (
-            edges_ds.join(
-                labels.rename_columns({"node": "src"}),
-                join_type="inner", num_partitions=n_part, on=("src",),
-            )
-            .map_batches(
-                lambda t: pa.table(
-                    {"node": t["dst"],
-                     "depth": pa.compute.add(t["depth"], 1)}),
-                batch_format="pyarrow",
-            )
-        )
-        labels = heal_blocks(
-            labels.union(msg)
-            .groupby("node")
-            .aggregate(Min("depth", alias_name="depth")),
-            target_blocks=n_part,
-        ).materialize()
-        # labels only grow in count and shrink in sum → (count, sum)
-        # stability IS the fixpoint
-        cur = (labels.count(), int(labels.sum("depth")))
-        if cur == prev:
-            break
-        prev = cur
-    else:
-        raise RuntimeError(
-            f"link_bfs_depth: propagation did not converge in "
-            f"{BFS_MAX_ROUNDS} rounds — graph eccentricity exceeds the "
-            "shared cap; raise BFS_MAX_ROUNDS (and the SQL bound) together"
-        )
-    out = labels.to_pandas().rename(columns={"node": "url_norm"})
+        return pd.DataFrame({"url_norm": [], "depth": []}).astype(
+            {"url_norm": "object", "depth": "int64"})
+    e = _edge_frame(edges_ds)
+    depth = _bfs_driver(seeds, zip(e["src"], e["dst"]))
+    out = pd.DataFrame(
+        {"url_norm": list(depth), "depth": list(depth.values())})
     out["depth"] = out["depth"].astype("int64")
-    return out.sort_values("url_norm").reset_index(drop=True)[
-        ["url_norm", "depth"]]
+    return out.sort_values("url_norm").reset_index(drop=True)
 
 
 def bfs_depth_sql(oracle_dir: str) -> str:

@@ -1,6 +1,7 @@
 """Execution shape of the document operators (pipelines/dedup.py,
-pipelines/text.py): they run as tasks and sort-shuffle exchanges only —
-no actor per call — so they also finish on a 2-CPU node; actor pools that
+pipelines/text.py) and the graph queries (pipelines/graph.py): they run
+as tasks and sort-shuffle exchanges only — no actor per call — so the
+document operators also finish on a 2-CPU node; actor pools that
 remain never take every CPU; and the tf-idf partial top-k merge is exact
 at any partition count."""
 
@@ -14,6 +15,7 @@ import pytest
 from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.pipelines import (
     _schema,
     dedup,
+    graph,
     text,
 )
 from test_queries_vs_duckdb import _canon
@@ -26,6 +28,8 @@ SF_SMALL = "/root/testdata/sf0.001"
 NO_ACTOR_OPS = ("dedup_exact", "dedup_minhash_lsh", "dedup_substring",
                 "dedup_clusters", "dedup_keep_best", "top_ngrams",
                 "tfidf_top_terms", "dedup_simhash", "lang_id")
+GRAPH_OPS = ("link_pagerank", "link_degree_stats", "link_components",
+             "link_bfs_depth")
 TWO_CPU_OPS = ("dedup_minhash_lsh", "dedup_simhash", "tfidf_top_terms",
                "lang_id")
 
@@ -54,18 +58,20 @@ def test_document_ops_start_no_actor():
     """After one warm-up round, no call of these operations adds an entry
     to the GCS actor table: signatures and scoring are stateless tasks,
     and every exchange is a groupby (sort shuffle), never a
-    Dataset.join (whose hash shuffle starts aggregator actors per call)."""
+    Dataset.join (whose hash shuffle starts aggregator actors per call).
+    The graph queries join only while deriving the per-corpus graph,
+    which the warm-up round caches."""
     from ray._private.state import actors
 
-    calls = [(name, _op(name)) for name in NO_ACTOR_OPS] + [
+    calls = [(name, _op(name), SF_DIR) for name in NO_ACTOR_OPS] + [
         ("dedup_clusters(mode='distributed')",
-         lambda sf: dedup.dedup_clusters(sf, mode="distributed")),
-    ]
-    for _name, call in calls:
-        call(SF_DIR)
-    for name, call in calls:
+         lambda sf: dedup.dedup_clusters(sf, mode="distributed"), SF_DIR),
+    ] + [(name, getattr(graph, name), SF_SMALL) for name in GRAPH_OPS]
+    for _name, call, sf in calls:
+        call(sf)
+    for name, call, sf in calls:
         before = set(actors())
-        call(SF_DIR)
+        call(sf)
         assert set(actors()) == before, name
 
 
