@@ -311,6 +311,7 @@ def section_queries() -> dict:
         ("events_sessionize", relational.events_sessionize),
         ("dedup_exact", dedup.dedup_exact),
         ("dedup_minhash_lsh", dedup.dedup_minhash_lsh),
+        ("dedup_simhash", dedup.dedup_simhash),
         ("dedup_substring", dedup.dedup_substring),
         ("dedup_winnow_pairs", dedup.dedup_winnow_pairs),
         ("dedup_keep_best", dedup.dedup_keep_best),
@@ -367,6 +368,8 @@ def section_queries() -> dict:
          lambda sf: dedup.dedup_substring(sf, mode="distributed")),
         ("dedup_minhash_lsh_dist",
          lambda sf: dedup.dedup_minhash_lsh(sf, mode="distributed")),
+        ("dedup_simhash_dist",
+         lambda sf: dedup.dedup_simhash(sf, mode="distributed")),
         ("heavy_hitters_topk_dist",
          lambda sf: relational.heavy_hitters_topk(sf, mode="distributed")),
     ]:
@@ -647,6 +650,8 @@ def run_stress() -> dict:
         ("minhash_driver", lambda: dedup.dedup_minhash_lsh(sf, mode="driver")),
         ("minhash_dist",
          lambda: dedup.dedup_minhash_lsh(sf, mode="distributed")),
+        ("simhash_driver", lambda: dedup.dedup_simhash(sf, mode="driver")),
+        ("simhash_dist", lambda: dedup.dedup_simhash(sf, mode="distributed")),
         ("substr_driver", lambda: dedup.dedup_substring(sf, mode="driver")),
         ("substr_auto", lambda: dedup.dedup_substring(sf)),
         ("winnow_dist",

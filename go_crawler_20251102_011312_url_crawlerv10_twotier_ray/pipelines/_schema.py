@@ -26,8 +26,11 @@ Fixes here:
 
 from __future__ import annotations
 
+import pandas as pd
+import pyarrow as pa
 import ray
 import ray.data as rd
+from ray.data.dataset import MaterializedDataset
 
 
 def read_parquet_bounded(path: str, columns=None, factor: int = 3,
@@ -113,3 +116,25 @@ def heal_blocks(ds: rd.Dataset, target_blocks: int = 200) -> rd.Dataset | None:
     if not has_empty:
         return m
     return m.repartition(max(1, min(target_blocks, n)))
+
+
+def collect(ds: rd.Dataset) -> pa.Table | None:
+    """All rows of ``ds`` on the driver, running its plan exactly once.
+    Not ``to_arrow_refs()``: in Ray 2.49 it runs an unmaterialized plan
+    for the blocks and then again for ``schema(fetch_if_missing=True)``.
+    A materialized dataset's block refs are read as they are."""
+    def to_table(t):
+        if isinstance(t, pa.Table):
+            return t
+        if isinstance(t, pd.DataFrame):  # pandas blocks (e.g. map_groups)
+            return pa.Table.from_pandas(t, preserve_index=False)
+        return pa.Table.from_batches([t])
+
+    if not isinstance(ds, MaterializedDataset):
+        ds = ds.materialize()
+    refs = [r for b in ds.iter_internal_ref_bundles() for r in b.block_refs]
+    tables = [to_table(t) for t in ray.get(refs)]
+    tables = [t for t in tables if t.num_rows]
+    if not tables:
+        return None
+    return pa.concat_tables(tables, promote_options="permissive")

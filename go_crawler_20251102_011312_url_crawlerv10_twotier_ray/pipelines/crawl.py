@@ -55,7 +55,6 @@ import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data as rd
-from ray.data.dataset import MaterializedDataset
 
 from ..config import CrawlConfig
 from ..functions.urlnorm import fetch_key
@@ -69,6 +68,7 @@ from ..stages.fetch import (
 from ..stages.seen import ShardedSeen, wait_offers_received
 from ..stages.seen import assemble_drain as _assemble_drain
 from ..state import checkpoint as ckpt
+from ._schema import collect as _collect
 
 FRONTIER_COLS = ["url", "url_norm", "host", "depth", "priority"]
 
@@ -409,28 +409,6 @@ class _PhaseTimer:
         t = time.perf_counter()
         self.phases[name] += t - self._t
         self._t = t
-
-
-def _collect(ds: rd.Dataset) -> pa.Table | None:
-    """All rows of ``ds`` on the driver, running its plan exactly once.
-    Not ``to_arrow_refs()``: in Ray 2.49 it runs an unmaterialized plan
-    for the blocks and then again for ``schema(fetch_if_missing=True)``.
-    A materialized dataset's block refs are read as they are."""
-    def to_table(t):
-        if isinstance(t, pa.Table):
-            return t
-        if isinstance(t, pd.DataFrame):  # pandas blocks (e.g. map_groups)
-            return pa.Table.from_pandas(t, preserve_index=False)
-        return pa.Table.from_batches([t])
-
-    if not isinstance(ds, MaterializedDataset):
-        ds = ds.materialize()
-    refs = [r for b in ds.iter_internal_ref_bundles() for r in b.block_refs]
-    tables = [to_table(t) for t in ray.get(refs)]
-    tables = [t for t in tables if t.num_rows]
-    if not tables:
-        return None
-    return pa.concat_tables(tables, promote_options="permissive")
 
 
 # Broadcast corpora of this process, least recently used first: pages

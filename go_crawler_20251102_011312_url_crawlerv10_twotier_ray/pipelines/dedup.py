@@ -11,7 +11,17 @@ Patterns (scale-first):
 - SimHash: 64-bit signatures, banded into 4×16-bit tables for ≤3-bit
   Hamming candidates, verified exactly;
 - embedding near-dup: cosine ≥ threshold pairs via blocked numpy matmul
-  against a broadcast matrix (O(n²) inside the block, no Python loops).
+  against a broadcast matrix (O(n²) inside the block, no Python loops),
+  or banded random-hyperplane buckets verified exactly.
+
+The three LSH ops share ONE pair tail, ``_lsh_pairs``: each op only
+builds its (id, key) table, a per-table payload packer (shingle set,
+signature or normalized vector) and a verify kernel over
+(a, b, pay_a, pay_b) rows. The tail pairs the ids that share a key,
+fetches the candidates' payloads, and verifies — on the driver for small
+key tables, else in one hash(key) co-partition whose payloads are
+broadcast (a sorted-id gather) up to VERIFY_BROADCAST_BYTES and joined
+above it.
 """
 
 from __future__ import annotations
@@ -22,9 +32,11 @@ import hashlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data as rd
 from ray.data.aggregate import Min, Sum
+from ray.data.dataset import MaterializedDataset
 
 
 def _docs(sf_dir: str, columns=None) -> rd.Dataset:
@@ -63,11 +75,13 @@ def dedup_exact(sf_dir: str) -> pd.DataFrame:
         .groupby("h")
         .aggregate(Min("doc_id", alias_name="doc_id"), Sum("n", alias_name="n_dupes"))
         .to_pandas()
-        .rename(columns={"h": "text_md5"})
-        .sort_values("doc_id")
-        .reset_index(drop=True)
     )
-    return out[["doc_id", "text_md5", "n_dupes"]]
+    if not len(out):  # empty corpus: the aggregate yields a zero-column frame
+        return pd.DataFrame({"doc_id": pd.Series(dtype="int64"),
+                             "text_md5": pd.Series(dtype=object),
+                             "n_dupes": pd.Series(dtype="int64")})
+    out = out.rename(columns={"h": "text_md5"}).sort_values("doc_id")
+    return out[["doc_id", "text_md5", "n_dupes"]].reset_index(drop=True)
 
 
 DEDUP_EXACT_SQL = """
@@ -121,8 +135,9 @@ _PAIR_BUCKET_CAP = 200  # skip degenerate giant buckets (boilerplate bands)
 
 def _pairs_in_partition(g: pd.DataFrame, key: str, id_col: str,
                         out_a: str, out_b: str, cap: int) -> pd.DataFrame:
-    """All (a < b) within-bucket pairs for EVERY bucket in one hash
-    partition, fully vectorized (no per-bucket Python — the sessionize
+    """All distinct (a < b) within-bucket pairs for EVERY bucket in one
+    hash partition (one pair can collide in several keys), fully
+    vectorized (no per-bucket Python — the sessionize
     co-partition pattern, relational.py; called per PARTITION from
     groupby(part).map_groups after a hash(key)-mod part column is stamped
     in map_batches). CLAUDE.md: never map_groups per key at scale — with
@@ -146,34 +161,12 @@ def _pairs_in_partition(g: pd.DataFrame, key: str, id_col: str,
     cum = np.concatenate([[0], np.cumsum(n_after)])
     offset = np.arange(cum[-1]) - np.repeat(cum[:-1], n_after) + 1
     b_idx = a_idx + offset
-    return pd.DataFrame({out_a: ids[a_idx], out_b: ids[b_idx]})
+    return pd.DataFrame(
+        {out_a: ids[a_idx], out_b: ids[b_idx]}).drop_duplicates()
 
 
-def _emit_pairs_partition(g: pd.DataFrame) -> pd.DataFrame:
-    return _pairs_in_partition(g, "band", "doc_id", "doc_a", "doc_b",
-                               _PAIR_BUCKET_CAP)
-
-
-def _emit_vec_pairs_partition(g: pd.DataFrame) -> pd.DataFrame:
-    return _pairs_in_partition(g, "bucket", "vec_id", "vec_a", "vec_b",
-                               _EMB_BUCKET_CAP)
-
-
-from ._schema import n_parts as _n_parts  # noqa: E402 — shared sizing rule
-
-
-def _emit_pairs_dedup(g: pd.DataFrame) -> pa.Table:
-    # within-partition pair dedup (one pair can collide in several keys of
-    # the same partition); cross-partition duplicates are the consumer's.
-    # Arrow return: map_groups' pandas blocks lose schema when empty and
-    # degrade downstream Projects/joins/aggregates — Arrow blocks don't.
-    return pa.Table.from_pandas(
-        _emit_pairs_partition(g).drop_duplicates(), preserve_index=False)
-
-
-def _emit_vec_pairs_dedup(g: pd.DataFrame) -> pa.Table:
-    return pa.Table.from_pandas(
-        _emit_vec_pairs_partition(g).drop_duplicates(), preserve_index=False)
+from ._schema import collect as _collect  # noqa: E402 — shared helpers
+from ._schema import n_parts as _n_parts  # noqa: E402
 
 
 def _stamp_pair_part(n_part: int, a_col: str, b_col: str):
@@ -229,13 +222,11 @@ def _unique_ids_collect(cand: "rd.Dataset", a_col: str,
         return pa.table({"id": pa.array(u, pa.int64())})
 
     ids = cand.map_batches(block_ids, batch_format="pyarrow").to_pandas()
-    if "id" not in ids.columns:  # all-empty Dataset → zero-column frame
-        return np.array([], dtype=np.int64)
     return np.unique(ids["id"].to_numpy(np.int64))
 
 
-def _coparted_pairs(sig_ds: "rd.Dataset", key_col: str, emit_fn,
-                    n_rows: int) -> "rd.Dataset":
+def _coparted_pairs(keys: "rd.Dataset", key: str, id_col: str, a: str,
+                    b: str, cap: int, n_rows: int) -> "rd.Dataset":
     """Candidate pairs in ONE all-to-all: stamp ``part = hash(key)`` and
     run the vectorized pair-gen once per partition. Hash co-location puts
     EVERY row of a key in one partition, so partition-local collision
@@ -243,14 +234,23 @@ def _coparted_pairs(sig_ds: "rd.Dataset", key_col: str, emit_fn,
     shuffle + filter pass this tail paid through r4 was a second
     all-to-all over the same rows for nothing (measured 2.4 s of the
     minhash_dist row's 6.8 s at sf0.1). The kernel dedups pairs within its
-    partition; cross-partition duplicates (one pair colliding in keys that
-    hash apart — at most bands-per-doc of them) are collapsed by the
+    partition; cross-partition duplicates (one pair colliding in keys
+    that hash apart — at most bands-per-id of them) are collapsed by the
     consumer's _dedup_pairs_coparted pass before any verify work."""
     n_part = _n_parts(n_rows)
+
+    def emit(g: pd.DataFrame) -> pa.Table:
+        # Arrow return: map_groups' pandas blocks lose schema when empty
+        # and degrade downstream Projects/joins/aggregates — Arrow
+        # blocks don't.
+        return pa.Table.from_pandas(
+            _pairs_in_partition(g, key, id_col, a, b, cap),
+            preserve_index=False)
+
     return (
-        sig_ds.map_batches(_stamp_band_part(n_part, col=key_col),
-                           batch_format="pyarrow")
-        .groupby("part").map_groups(emit_fn, batch_format="pandas")
+        keys.map_batches(_stamp_band_part(n_part, col=key),
+                         batch_format="pyarrow")
+        .groupby("part").map_groups(emit, batch_format="pandas")
         .materialize()
     )
 
@@ -269,47 +269,178 @@ def _stamp_band_part(n_part: int, col: str = "band"):
     return stamp
 
 
-def _pairs_from_collisions(coll: pd.DataFrame) -> pd.DataFrame:
-    """Unique candidate (doc_a, doc_b) pairs from collision rows (driver
-    tail) — the same vectorized kernel the distributed partitions run."""
-    return _emit_pairs_partition(coll).drop_duplicates().reset_index(
-        drop=True)
+# below this many (id, key) rows the whole LSH tail runs on the driver:
+# every exchange of the distributed tail (key co-partition, pair dedup,
+# then verify) pays a fixed cost in shuffle task launches that dwarfs
+# 0.03 s of pandas. 5M rows ≈ 80 MB — comfortably driver-sized; past it,
+# every step stays distributed (co-partitioned pair-gen → pair dedup →
+# broadcast or join verify).
+MINHASH_SMALL_LIMIT = 5_000_000
+# distributed tail: the verify side broadcasts the candidates' (id, pay)
+# table (a sorted-id gather in one map) instead of two hash-join exchanges
+# while the table's actual BYTES are at most this; above it the join twin
+# runs (equality-tested by forcing the bound to -1 in tests). Broadcast
+# cost is the payload (driver concat + sort + ray.put + one plasma copy),
+# not the candidate count: 500k docs × a few KB of shingles each is
+# multi-GB, while 500k SimHash signatures are 8 MB, and a batch's lookup
+# (_find_sorted) costs what the batch holds, not what the table holds
+# (BASELINE.md "LSH pair tails").
+VERIFY_BROADCAST_BYTES = 256 * 1024 * 1024
 
 
-def _packed_shingles_ds(sf_dir: str, need_ref) -> "rd.Dataset":
-    """(doc_id, byte-packed unique shingle set) for the broadcast id set —
-    computed where the texts live; texts never leave the workers."""
-    import pyarrow.compute as pc
-
-    def doc_shingles(t: pa.Table) -> pa.Table:
-        from ..functions.hashing import shingles
-        from ..stages.fetch import cached_broadcast
-
-        t = t.filter(
-            pc.is_in(t["doc_id"], value_set=cached_broadcast(need_ref))
-        )
-        shs = [shingles(x, SHINGLE_K) for x in t["text"].to_pylist()]
-        # byte-packed uint64 sets: hash joins don't take list payloads
-        return pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "sh": pa.array(
-                    [np.unique(s).tobytes() for s in shs], pa.binary()
-                ),
-            }
-        )
-
-    return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        doc_shingles, batch_format="pyarrow"
-    )
+def _find_sorted(x: np.ndarray, ids: np.ndarray):
+    """Positions of ``x`` in the sorted, non-empty ``ids`` and which of
+    them are there, in O(x log x) whatever the size of ``ids``: a binary
+    search of the SORTED ``x`` walks ``ids`` forward. Not ``pc.is_in`` /
+    ``index_in``: each call builds a hash table over all of ``ids``, which
+    per map batch costs 2.1 s for a 250k-pair block at 16M ids
+    (BASELINE.md "LSH pair tails")."""
+    order = np.argsort(x)
+    ix = np.empty(len(x), np.int64)
+    ix[order] = np.searchsorted(ids, x[order])
+    ix = np.minimum(ix, len(ids) - 1)
+    return ix, ids[ix] == x
 
 
-def _verify_pairs_table(t: pa.Table) -> pa.Table:
-    """(doc_a, doc_b, sh_a, sh_b) rows -> verified pairs ≥ threshold."""
+def _sorted_payloads(pays: pa.Table) -> tuple[np.ndarray, pa.Array]:
+    """An (id, pay) table as its ids sorted ascending and the payloads in
+    that order — sorted once, on the driver, for every lookup after."""
+    ids = pays["id"].to_numpy().astype(np.int64)
+    order = np.argsort(ids, kind="stable")
+    return ids[order], pays["pay"].take(order).combine_chunks()
+
+
+def _attach_payloads(t: pa.Table, pays: tuple[np.ndarray, pa.Array],
+                     a: str, b: str) -> pa.Table:
+    """Append ``pay_a`` / ``pay_b`` to a pair table from the
+    _sorted_payloads of the candidate ids (every id is there)."""
+    ids, pay = pays
+    for col, name in ((a, "pay_a"), (b, "pay_b")):
+        ix, _ = _find_sorted(t[col].to_numpy(zero_copy_only=False), ids)
+        t = t.append_column(name, pay.take(ix))
+    return t
+
+
+def _lsh_pairs(keys: rd.Dataset, n_rows: int, key: str, id_col: str,
+               cap: int, src: rd.Dataset, pack, verify, schema: dict,
+               mode: str) -> pd.DataFrame:
+    """The LSH pair tail of MinHash, SimHash and embedding near-dup.
+
+    ``keys`` holds ``n_rows`` (id_col, key) rows; ids sharing a key (in a
+    bucket of at most ``cap`` ids) are candidate pairs. ``pack`` turns
+    ``src`` rows into (id, pay) rows, run only on the candidate ids, where
+    the source lives; ``verify`` keeps the true pairs of an
+    (a, b, pay_a, pay_b) table and emits the columns of ``schema`` (a
+    column → dtype map whose first two columns are a and b).
+
+    Size-adaptive on ``n_rows`` — ``mode`` forces ``"driver"`` or
+    ``"distributed"`` (equality-tested against each other):
+
+    - driver tail (small inputs): key table → value_counts → pair-gen →
+      payloads of the candidate ids (read as they are when ``src`` is
+      already materialized) → sorted-id gather → verify.
+    - distributed tail (the 100 TB path): ONE hash(key) co-partition
+      exchange feeding the vectorized pair-gen, a hash(pair) co-partitioned
+      dedup, candidate ids via per-block unique (the pair table never
+      reaches the driver), then verify: broadcast sorted-id gather while
+      the payload table is at most VERIFY_BROADCAST_BYTES, two
+      ``Dataset.join``s above it.
+    Payloads, never texts, move."""
+    a, b = list(schema)[:2]
+    empty = pd.DataFrame(columns=list(schema)).astype(schema)
+    if n_rows == 0:
+        return empty
+    distributed = mode == "distributed" or (
+        mode == "auto" and n_rows > MINHASH_SMALL_LIMIT)
+
+    def pack_needed(t: pa.Table, need: np.ndarray) -> pa.Table:
+        _, found = _find_sorted(
+            t[id_col].to_numpy(zero_copy_only=False), need)
+        return pack(t.filter(pa.array(found)))
+
+    def payloads(need: np.ndarray) -> rd.Dataset:
+        need_ref = ray.put(need)
+
+        def pack_batch(t: pa.Table) -> pa.Table:
+            from ..stages.fetch import cached_broadcast
+
+            return pack_needed(t, cached_broadcast(need_ref))
+
+        return src.map_batches(pack_batch, batch_format="pyarrow")
+
+    if not distributed:
+        df = keys.to_pandas()
+        vc = df[key].value_counts()
+        cand = _pairs_in_partition(df[df[key].isin(vc[vc > 1].index)], key,
+                                   id_col, a, b, cap)
+        if not len(cand):
+            return empty
+        need = np.unique(np.concatenate([cand[a], cand[b]]))
+        # a materialized source (SimHash's signatures) is read as it is —
+        # a filter job over it costs more than the read
+        pays = (pack_needed(_collect(src), need)
+                if isinstance(src, MaterializedDataset)
+                else _collect(payloads(need)))
+        out = verify(_attach_payloads(
+            pa.Table.from_pandas(cand, preserve_index=False),
+            _sorted_payloads(pays), a, b)).to_pandas()
+    else:
+        cand = _coparted_pairs(keys, key, id_col, a, b, cap, n_rows)
+        if cand.count() == 0:
+            return empty
+        cand = _dedup_pairs_coparted(cand, a, b)
+        # materialized ONCE: its size picks the verify twin, and the join
+        # twin reads it twice
+        pays = payloads(_unique_ids_collect(cand, a, b)).materialize()
+        if pays.size_bytes() <= VERIFY_BROADCAST_BYTES:
+            # a gather in one map over the pair Dataset: two hash-join
+            # exchanges cost ~2.8 s fixed at sf0.1 and start 8 aggregator
+            # actors per call, which dwarfs a few hundred pairs
+            pays_ref = ray.put(_sorted_payloads(_collect(pays)))
+
+            def attach_and_verify(t: pa.Table) -> pa.Table:
+                from ..stages.fetch import cached_broadcast
+
+                return verify(_attach_payloads(
+                    t, cached_broadcast(pays_ref), a, b))
+
+            out = cand.map_batches(
+                attach_and_verify, batch_format="pyarrow").to_pandas()
+        else:
+            n_part = _n_parts(cand.count())
+            j1 = cand.join(
+                pays.rename_columns({"id": a, "pay": "pay_a"}),
+                join_type="inner", num_partitions=n_part, on=(a,),
+            )
+            j2 = j1.join(
+                pays.rename_columns({"id": b, "pay": "pay_b"}),
+                join_type="inner", num_partitions=n_part, on=(b,),
+            )
+            out = j2.map_batches(verify, batch_format="pyarrow").to_pandas()
+    if not len(out):
+        return empty
+    return out.sort_values([a, b]).reset_index(drop=True)
+
+
+def _pack_shingles(t: pa.Table) -> pa.Table:
+    """(id, byte-packed unique shingle set) per document — byte-packed
+    uint64 sets because hash joins don't take list payloads."""
+    from ..functions.hashing import shingles
+
+    return pa.table({
+        "id": t["doc_id"],
+        "pay": pa.array([np.unique(shingles(x, SHINGLE_K)).tobytes()
+                         for x in t["text"].to_pylist()], pa.binary()),
+    })
+
+
+def _minhash_verify(t: pa.Table) -> pa.Table:
+    """(doc_a, doc_b, pay_a, pay_b) rows -> pairs with shingle Jaccard ≥
+    threshold."""
     rows = []
     for a, b, sa, sb in zip(
         t["doc_a"].to_pylist(), t["doc_b"].to_pylist(),
-        t["sh_a"].to_pylist(), t["sh_b"].to_pylist(),
+        t["pay_a"].to_pylist(), t["pay_b"].to_pylist(),
     ):
         sa = np.frombuffer(sa, dtype=np.uint64)
         sb = np.frombuffer(sb, dtype=np.uint64)
@@ -327,140 +458,23 @@ def _verify_pairs_table(t: pa.Table) -> pa.Table:
     )
 
 
-# below this many (doc, band) rows the whole LSH tail runs on the driver:
-# every exchange of the distributed tail (band co-partition, pair dedup,
-# then verify) pays a fixed cost in shuffle task launches that dwarfs
-# 0.03 s of pandas. 5M rows ≈ 80 MB — comfortably driver-sized; past it,
-# every step stays distributed (co-partitioned pair-gen → pair dedup →
-# broadcast or join verify).
-MINHASH_SMALL_LIMIT = 5_000_000
-# distributed tail: the verify side broadcasts the packed-shingle table
-# (index_in gather in one map) instead of two hash-join exchanges when BOTH
-# the candidate-doc count and the table's actual BYTES are small; above
-# either bound the join twin runs (equality-tested by forcing the limit to
-# 0 in tests). The byte bound is the binding one — broadcast cost is the
-# shingle payload (driver concat + ray.put + one plasma copy), not the doc
-# count, and 500k docs × a few KB of shingles each is multi-GB.
-MINHASH_VERIFY_BROADCAST_LIMIT = 500_000
-MINHASH_VERIFY_BROADCAST_BYTES = 256 * 1024 * 1024
-
-
 def dedup_minhash_lsh(sf_dir: str, mode: str = "auto") -> pd.DataFrame:
     """Candidate near-dup pairs from LSH band buckets, verified with exact
     shingle Jaccard. Returns (doc_a, doc_b, jaccard_pct) with doc_a < doc_b.
 
-    Size-adaptive after the (always distributed, always vectorized)
-    signature stage, keyed on the band-table row count — ``mode`` forces
-    ``"driver"`` or ``"distributed"`` (tests cover both):
-
-    - driver tail (small inputs): band table (16 B/row) → value_counts →
-      pair-gen → verify against worker-computed packed shingle sets.
-    - distributed tail (the 100 TB path): ONE hash(band) co-partition
-      exchange feeding the vectorized pair-gen (partition-local collisions
-      are global under co-location — no separate hot-band count shuffle),
-      then exact-Jaccard verify: broadcast index_in gather below the size
-      gates, Dataset.join against a (doc_id, packed shingles) candidate
-      table above (pairs deduped ahead of the joins).
+    The signature stage is always distributed and vectorized; the
+    (doc, band) table then feeds the shared size-adaptive LSH tail
+    (_lsh_pairs; ``mode`` forces either tail), whose verify computes
+    shingle sets for the candidate docs only, where the texts live.
     Not SQL-expressible → rows-only driver check; pytest covers semantics
     on planted near-duplicates for BOTH modes."""
-    sigs = _docs(sf_dir, ["doc_id", "text"]).map_batches(
+    docs = _docs(sf_dir, ["doc_id", "text"])
+    # materialized: the size probe and whichever tail runs both reuse it
+    sigs = docs.map_batches(
         _minhash_bands, batch_format="pyarrow", batch_size=256).materialize()
-    # (materialized: the size probe and whichever tail runs both reuse it)
-
-    distributed = mode == "distributed" or (
-        mode == "auto" and sigs.count() > MINHASH_SMALL_LIMIT
-    )
-
-    if not distributed:
-        df = sigs.to_pandas()
-        vc = df["band"].value_counts()
-        coll = df[df["band"].isin(vc[vc > 1].index)]
-        cand = _pairs_from_collisions(coll)
-        if not len(cand):
-            return pd.DataFrame(columns=list(_EMPTY_PAIRS)).astype(_EMPTY_PAIRS)
-        need = np.unique(np.concatenate([cand["doc_a"], cand["doc_b"]]))
-        need_ref = ray.put(pa.array(need, pa.int64()))
-        sh_df = _packed_shingles_ds(sf_dir, need_ref).to_pandas()
-        sh = dict(zip(sh_df["doc_id"], sh_df["sh"]))
-        verified = _verify_pairs_table(
-            pa.table(
-                {
-                    "doc_a": pa.array(cand["doc_a"], pa.int64()),
-                    "doc_b": pa.array(cand["doc_b"], pa.int64()),
-                    "sh_a": pa.array([sh[a] for a in cand["doc_a"]], pa.binary()),
-                    "sh_b": pa.array([sh[b] for b in cand["doc_b"]], pa.binary()),
-                }
-            )
-        )
-        out = verified.to_pandas()
-        if not len(out):
-            return pd.DataFrame(columns=list(_EMPTY_PAIRS)).astype(_EMPTY_PAIRS)
-        return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-
-    # ---- distributed tail ----
-    # exchange 1: hash(band) co-partition + per-partition vectorized
-    # pair-gen (partition-local collisions ARE global under co-location;
-    # see _coparted_pairs). exchange 2: hash(pair) co-partitioned dedup of
-    # the cross-partition duplicates — ≤ N_BANDS per pair, but precisely
-    # the TRUE near-dups collide in many bands, so a dup-inflated verify
-    # would repeat the shingle work for every winner.
-    cand = _coparted_pairs(sigs, "band", _emit_pairs_dedup, sigs.count())
-    if cand.count() == 0:
-        return pd.DataFrame(columns=list(_EMPTY_PAIRS)).astype(_EMPTY_PAIRS)
-    cand = _dedup_pairs_coparted(cand, "doc_a", "doc_b")
-
-    # verify: shingle sets for candidate docs only (ids-only reach the
-    # driver via per-block unique — the pair table never collects; the
-    # TEXTS never leave the workers)
-    need_ids = _unique_ids_collect(cand, "doc_a", "doc_b")
-    need_ref = ray.put(pa.array(need_ids, pa.int64()))
-    # shingle sets for the candidate ids — computed where the texts live,
-    # materialized ONCE and consumed by whichever verify twin runs (the
-    # materialized size is also what the broadcast gate must bound: the
-    # cost of the broadcast is shingle BYTES, not candidate-doc count)
-    sh_ds = _packed_shingles_ds(sf_dir, need_ref).materialize()
-    if (len(need_ids) <= MINHASH_VERIFY_BROADCAST_LIMIT
-            and sh_ds.size_bytes() <= MINHASH_VERIFY_BROADCAST_BYTES):
-        # candidate-doc shingle table fits a broadcast: attach sh_a/sh_b
-        # by index_in gather inside ONE distributed map over the pair
-        # Dataset — replaces two hash-join exchanges whose fixed cost
-        # (~2.8 s at sf0.1) dwarfs a few hundred pairs. Above the limit
-        # the join twin below is the shape that scales (equality-tested).
-        sh_tbl = pa.concat_tables(
-            [t if isinstance(t, pa.Table) else pa.Table.from_batches([t])
-             for t in ray.get(sh_ds.to_arrow_refs())]
-        ).combine_chunks()
-        sh_ref = ray.put(sh_tbl)
-
-        def attach_and_verify(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc2
-
-            from ..stages.fetch import cached_broadcast
-
-            sh = cached_broadcast(sh_ref)
-            ia = pc2.index_in(t["doc_a"], value_set=sh["doc_id"])
-            ib = pc2.index_in(t["doc_b"], value_set=sh["doc_id"])
-            t = t.append_column("sh_a", sh["sh"].take(ia))
-            t = t.append_column("sh_b", sh["sh"].take(ib))
-            return _verify_pairs_table(t)
-
-        out = cand.map_batches(
-            attach_and_verify, batch_format="pyarrow").to_pandas()
-    else:
-        n_part = _n_parts(cand.count())
-        j1 = cand.join(
-            sh_ds.rename_columns({"doc_id": "doc_a", "sh": "sh_a"}),
-            join_type="inner", num_partitions=n_part, on=("doc_a",),
-        )
-        j2 = j1.join(
-            sh_ds.rename_columns({"doc_id": "doc_b", "sh": "sh_b"}),
-            join_type="inner", num_partitions=n_part, on=("doc_b",),
-        )
-        out = j2.map_batches(
-            _verify_pairs_table, batch_format="pyarrow").to_pandas()
-    if not len(out):
-        return pd.DataFrame(columns=list(_EMPTY_PAIRS)).astype(_EMPTY_PAIRS)
-    return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+    return _lsh_pairs(sigs, sigs.count(), "band", "doc_id", _PAIR_BUCKET_CAP,
+                      docs, _pack_shingles, _minhash_verify, _EMPTY_PAIRS,
+                      mode)
 
 
 def dedup_ngram_jaccard(sf_dir: str, threshold: float = 0.3) -> pd.DataFrame:
@@ -536,15 +550,15 @@ def _simhash_bands(t: pa.Table) -> pa.Table:
 
 
 def _simhash_verify(t: pa.Table) -> pa.Table:
-    """(doc_a, doc_b, sig_a, sig_b) → pairs with Hamming ≤ max (vectorized
-    XOR popcount)."""
+    """(doc_a, doc_b, pay_a, pay_b) signature rows → pairs with Hamming ≤
+    max (vectorized XOR popcount)."""
     from ..functions.hashing import hamming64_array
 
     a = t["doc_a"].to_numpy(zero_copy_only=False)
     b = t["doc_b"].to_numpy(zero_copy_only=False)
     d = hamming64_array(
-        t["sig_a"].to_numpy(zero_copy_only=False),
-        t["sig_b"].to_numpy(zero_copy_only=False),
+        t["pay_a"].to_numpy(zero_copy_only=False),
+        t["pay_b"].to_numpy(zero_copy_only=False),
     )
     keep = d <= SIMHASH_MAX_HAMMING
     return pa.table(
@@ -560,69 +574,18 @@ def dedup_simhash(sf_dir: str, mode: str = "auto") -> pd.DataFrame:
     """SimHash near-dup pairs (Hamming ≤ 3 over 64-bit signatures),
     16-bit-banded for candidates, verified exactly. Rows-only check.
 
-    Same size-adaptive tail as dedup_minhash_lsh, keyed on the
-    (doc, band) row count: driver tail below MINHASH_SMALL_LIMIT (the band
-    table is 16 B/row and the sig table 16 B/doc), distributed tail above
-    (ONE hash(band) co-partition exchange feeding the vectorized pair-gen
-    → pair-dedup groupby → verify via two signature joins — signatures,
-    never texts, move)."""
+    The materialized (doc_id, sig) table is both the band source and the
+    payload source of the shared LSH tail (_lsh_pairs, keyed on the
+    (doc, band) row count; ``mode`` forces either tail): signatures, never
+    texts, move. The band table stays lazy — the driver tail reads it
+    once, the distributed tail co-partitions it."""
     sigs = _docs(sf_dir, ["doc_id", "text"]).map_batches(
         _simhash_sigs, batch_format="pyarrow", batch_size=256).materialize()
-    band_ds = sigs.map_batches(_simhash_bands, batch_format="pyarrow")
-
-    distributed = mode == "distributed" or (
-        mode == "auto"
-        and sigs.count() * SIMHASH_BANDS > MINHASH_SMALL_LIMIT
-    )
-
-    if not distributed:
-        band_df = band_ds.to_pandas()
-        vc = band_df["band"].value_counts()
-        coll = band_df[band_df["band"].isin(vc[vc > 1].index)]
-        cand = _pairs_from_collisions(coll)
-        if not len(cand):
-            return pd.DataFrame(columns=list(_EMPTY_SIMHASH)).astype(_EMPTY_SIMHASH)
-        sig_df = sigs.to_pandas()
-        sig_map = dict(zip(sig_df["doc_id"], sig_df["sig"]))
-        out = _simhash_verify(
-            pa.table(
-                {
-                    "doc_a": pa.array(cand["doc_a"], pa.int64()),
-                    "doc_b": pa.array(cand["doc_b"], pa.int64()),
-                    "sig_a": pa.array(
-                        [sig_map[a] for a in cand["doc_a"]], pa.uint64()),
-                    "sig_b": pa.array(
-                        [sig_map[b] for b in cand["doc_b"]], pa.uint64()),
-                }
-            )
-        ).to_pandas()
-        if not len(out):
-            return pd.DataFrame(columns=list(_EMPTY_SIMHASH)).astype(_EMPTY_SIMHASH)
-        return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
-
-    # ---- distributed tail ----
-    # ONE co-partition exchange for pair-gen (see _coparted_pairs), then a
-    # pair-hash co-partitioned dedup collapsing cross-partition duplicates
-    # ahead of the signature joins (dup rows would multiply through both)
-    cand = _coparted_pairs(band_ds, "band", _emit_pairs_dedup,
-                           sigs.count() * SIMHASH_BANDS)
-    if cand.count() == 0:
-        return pd.DataFrame(columns=list(_EMPTY_SIMHASH)).astype(_EMPTY_SIMHASH)
-    cand = _dedup_pairs_coparted(cand, "doc_a", "doc_b")
-
-    n_part = _n_parts(cand.count())
-    j1 = cand.join(
-        sigs.rename_columns({"doc_id": "doc_a", "sig": "sig_a"}),
-        join_type="inner", num_partitions=n_part, on=("doc_a",),
-    )
-    j2 = j1.join(
-        sigs.rename_columns({"doc_id": "doc_b", "sig": "sig_b"}),
-        join_type="inner", num_partitions=n_part, on=("doc_b",),
-    )
-    out = j2.map_batches(_simhash_verify, batch_format="pyarrow").to_pandas()
-    if not len(out):
-        return pd.DataFrame(columns=list(_EMPTY_SIMHASH)).astype(_EMPTY_SIMHASH)
-    return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True)
+    return _lsh_pairs(
+        sigs.map_batches(_simhash_bands, batch_format="pyarrow"),
+        sigs.count() * SIMHASH_BANDS, "band", "doc_id", _PAIR_BUCKET_CAP,
+        sigs, lambda t: t.rename_columns(["id", "pay"]), _simhash_verify,
+        _EMPTY_SIMHASH, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +611,8 @@ def _emb_ds(sf_dir: str) -> rd.Dataset:
 def _norm_rows(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
     from .ann import _emb_rows
 
+    if not t.num_rows:  # a batch with no candidate ids (LSH payloads)
+        return np.zeros(0, np.int64), np.zeros((0, 0))
     ids, m = _emb_rows(t)
     n = np.linalg.norm(m, axis=1)
     n[n == 0] = 1.0
@@ -670,9 +635,9 @@ def dedup_embedding_cosine(
       (recall ≈ 0.98 at cos ≥ 0.95 with 12 bands × 12 planes).
     - ``auto``: lsh when threshold ≥ 0.9 else exact.
 
-    ``mode`` picks the LSH tail (same size-adaptive twin pattern as
-    dedup_minhash_lsh): ``driver`` below MINHASH_SMALL_LIMIT bucket rows,
-    ``distributed`` above (equality-tested against each other).
+    ``mode`` picks the tail of the shared LSH pair stage (_lsh_pairs):
+    ``driver`` below MINHASH_SMALL_LIMIT bucket rows, ``distributed``
+    above (equality-tested against each other).
     """
     if method == "auto":
         method = "lsh" if threshold >= 0.9 else "exact"
@@ -763,31 +728,20 @@ def _emb_bucket_rows(t: pa.Table) -> pa.Table:
     )
 
 
-def _packed_vecs_ds(ds: rd.Dataset, need_ref) -> rd.Dataset:
-    """(vec_id, byte-packed normalized float64 vector) for the broadcast id
-    set — packed because hash joins don't take list payloads; computed
-    where the vectors live."""
-    import pyarrow.compute as pc
-
-    def pack(t: pa.Table) -> pa.Table:
-        from ..stages.fetch import cached_broadcast
-
-        t = t.filter(
-            pc.is_in(t["vec_id"], value_set=cached_broadcast(need_ref))
-        )
-        ids, m = _norm_rows(t)
-        return pa.table(
-            {
-                "vec_id": pa.array(ids, pa.int64()),
-                "vb": pa.array([row.tobytes() for row in m], pa.binary()),
-            }
-        )
-
-    return ds.map_batches(pack, batch_format="pyarrow")
+def _pack_vecs(t: pa.Table) -> pa.Table:
+    """(id, byte-packed normalized float64 vector) — packed because hash
+    joins don't take list payloads."""
+    ids, m = _norm_rows(t)
+    return pa.table(
+        {
+            "id": pa.array(ids, pa.int64()),
+            "pay": pa.array([row.tobytes() for row in m], pa.binary()),
+        }
+    )
 
 
-def _verify_vec_pairs_table(t: pa.Table, threshold: float) -> pa.Table:
-    """(vec_a, vec_b, vb_a, vb_b) rows → pairs with cosine ≥ threshold
+def _emb_verify(t: pa.Table, threshold: float) -> pa.Table:
+    """(vec_a, vec_b, pay_a, pay_b) rows → pairs with cosine ≥ threshold
     (one vectorized row-wise dot over the unpacked float64 matrices)."""
     n = t.num_rows
     if n == 0:
@@ -796,8 +750,8 @@ def _verify_vec_pairs_table(t: pa.Table, threshold: float) -> pa.Table:
              "vec_b": pa.array([], pa.int64()),
              "cos_pct": pa.array([], pa.int64())}
         )
-    ma = np.frombuffer(b"".join(t["vb_a"].to_pylist()), np.float64).reshape(n, -1)
-    mb = np.frombuffer(b"".join(t["vb_b"].to_pylist()), np.float64).reshape(n, -1)
+    ma = np.frombuffer(b"".join(t["pay_a"].to_pylist()), np.float64).reshape(n, -1)
+    mb = np.frombuffer(b"".join(t["pay_b"].to_pylist()), np.float64).reshape(n, -1)
     sims = np.einsum("ij,ij->i", ma, mb)
     keep = sims >= threshold
     a = t["vec_a"].to_numpy(zero_copy_only=False)[keep]
@@ -813,95 +767,15 @@ def _verify_vec_pairs_table(t: pa.Table, threshold: float) -> pa.Table:
 
 def _emb_cosine_lsh(ds: rd.Dataset, threshold: float,
                     mode: str = "auto") -> pd.DataFrame:
-    """Banded-hyperplane candidate generation + exact verify (same
-    explode→hot-bucket→pairs shape as dedup_minhash_lsh), with the same
-    size-adaptive tail keyed on the (vec, bucket) row count:
-
-    - driver tail (small inputs): bucket table → value_counts → pair-gen
-      → verify against a driver-fetched candidate matrix;
-    - distributed tail (the 100 TB path): ONE hash(bucket) co-partition
-      exchange feeding the vectorized pair-gen → pair-dedup groupby →
-      exact cosine verify via two ``Dataset.join``s against a (vec_id,
-      packed normalized vector) table — the full bucket table and the
-      candidate vectors never land on the driver.
-    Both tails are equality-tested against each other."""
-    import pyarrow.compute as pc
-
+    """Banded-hyperplane (vec_id, bucket) rows feeding the shared LSH tail
+    (_lsh_pairs, keyed on the bucket row count), verified by exact cosine
+    over the candidates' packed normalized vectors."""
     sigs = ds.map_batches(_emb_bucket_rows, batch_format="pyarrow",
                           batch_size=1024).materialize()
-
-    distributed = mode == "distributed" or (
-        mode == "auto" and sigs.count() > MINHASH_SMALL_LIMIT
-    )
-
-    if not distributed:
-        sdf = sigs.to_pandas()
-        vc = sdf["bucket"].value_counts()
-        coll = sdf[sdf["bucket"].isin(vc[vc > 1].index)]
-        cand = _emit_vec_pairs_partition(coll).drop_duplicates()
-        if not len(cand):
-            return pd.DataFrame(columns=list(_EMPTY_EMB)).astype(_EMPTY_EMB)
-
-        # exact verify: fetch candidate vectors (small set), vectorized dot
-        need = np.unique(np.concatenate([cand["vec_a"], cand["vec_b"]]))
-        need_ref = ray.put(pa.array(need, pa.int64()))
-
-        def keep_needed(t: pa.Table) -> pa.Table:
-            from ..stages.fetch import cached_broadcast
-
-            return t.filter(
-                pc.is_in(t["vec_id"], value_set=cached_broadcast(need_ref))
-            )
-
-        sub = ds.map_batches(keep_needed, batch_format="pyarrow").to_pandas()
-        ids, m = _norm_rows(pa.Table.from_pandas(sub, preserve_index=False))
-        pos = {v: i for i, v in enumerate(ids)}
-        a_idx = np.array([pos[v] for v in cand["vec_a"]])
-        b_idx = np.array([pos[v] for v in cand["vec_b"]])
-        sims = np.einsum("ij,ij->i", m[a_idx], m[b_idx])
-        keep = sims >= threshold
-        out = pd.DataFrame(
-            {
-                "vec_a": cand["vec_a"].to_numpy()[keep].astype("int64"),
-                "vec_b": cand["vec_b"].to_numpy()[keep].astype("int64"),
-                "cos_pct": np.rint(sims[keep] * 1000).astype("int64"),
-            }
-        )
-        if not len(out):
-            return pd.DataFrame(columns=list(_EMPTY_EMB)).astype(_EMPTY_EMB)
-        return out.sort_values(["vec_a", "vec_b"]).reset_index(drop=True)
-
-    # ---- distributed tail (MinHash-shaped) ----
-    # ONE co-partition exchange for pair-gen (see _coparted_pairs), then a
-    # pair-hash co-partitioned dedup collapsing cross-partition duplicates
-    # ahead of the vector joins
-    cand_ds = _coparted_pairs(sigs, "bucket", _emit_vec_pairs_dedup,
-                              sigs.count())
-    if cand_ds.count() == 0:
-        return pd.DataFrame(columns=list(_EMPTY_EMB)).astype(_EMPTY_EMB)
-    cand_ds = _dedup_pairs_coparted(cand_ds, "vec_a", "vec_b")
-
-    # candidate ids: per-block unique then a driver np.unique — ids-only
-    # reach the driver, no union+unique exchange (the minhash-twin shape)
-    need_ids = _unique_ids_collect(cand_ds, "vec_a", "vec_b")
-    need_ref = ray.put(pa.array(need_ids, pa.int64()))
-    vb_ds = _packed_vecs_ds(ds, need_ref).materialize()  # used by 2 joins
-    n_part = _n_parts(cand_ds.count())
-    j1 = cand_ds.join(
-        vb_ds.rename_columns({"vec_id": "vec_a", "vb": "vb_a"}),
-        join_type="inner", num_partitions=n_part, on=("vec_a",),
-    )
-    j2 = j1.join(
-        vb_ds.rename_columns({"vec_id": "vec_b", "vb": "vb_b"}),
-        join_type="inner", num_partitions=n_part, on=("vec_b",),
-    )
-    out = j2.map_batches(
-        lambda t: _verify_vec_pairs_table(t, threshold),
-        batch_format="pyarrow",
-    ).to_pandas()
-    if not len(out):
-        return pd.DataFrame(columns=list(_EMPTY_EMB)).astype(_EMPTY_EMB)
-    return out.sort_values(["vec_a", "vec_b"]).reset_index(drop=True)
+    return _lsh_pairs(sigs, sigs.count(), "bucket", "vec_id",
+                      _EMB_BUCKET_CAP, ds, _pack_vecs,
+                      functools.partial(_emb_verify, threshold=threshold),
+                      _EMPTY_EMB, mode)
 
 
 # driver-checkable variant: τ=0.45 has real matches in the all-distinct
@@ -1202,8 +1076,6 @@ def _substr_words(t: pa.Table):
     """Whitespace words per doc with Python ``str.split`` semantics (empty
     tokens dropped), off the Arrow buffers: returns (flat word list,
     per-word parent doc index, batch row count)."""
-    import pyarrow.compute as pc
-
     words = pc.utf8_split_whitespace(t["text"])
     flat = pc.list_flatten(words)
     if isinstance(flat, pa.ChunkedArray):
@@ -1301,8 +1173,6 @@ def dedup_substring(sf_dir: str, mode: str = "auto") -> pd.DataFrame:
     = global per gh under co-location), then the sessionize-style
     hash(doc_id) co-partitioned island merge
     (mode="driver"/"distributed" force either; equality-tested)."""
-    import pyarrow.compute as pc
-
     from ._schema import heal_blocks
 
     empty = pd.DataFrame({

@@ -94,20 +94,29 @@ def test_minhash_lsh_distributed_mode_matches_driver_mode(planted_dir):
 
 
 @pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("op", ["minhash", "simhash", "embedding_lsh"])
 def test_minhash_lsh_join_verify_matches_broadcast_verify(
-        planted_dir, monkeypatch):
-    """The distributed tail's verify side is size-adaptive: broadcast
-    shingle gather below MINHASH_VERIFY_BROADCAST_LIMIT candidate docs,
-    two hash joins above. Force the JOIN twin (limit -> -1) and assert it
-    returns exactly the broadcast path's pairs."""
+        planted_dir, monkeypatch, op):
+    """The shared distributed LSH tail's verify side is size-adaptive:
+    broadcast payload gather up to VERIFY_BROADCAST_BYTES, two hash joins
+    above. Force the JOIN twin (bound -> -1) and assert it returns exactly
+    the broadcast path's pairs, for each op on the tail (the embedding
+    case at threshold 0.3, so many collisions reach the verify)."""
     from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.pipelines import (
         dedup,
     )
 
-    bcast = dedup.dedup_minhash_lsh(planted_dir, mode="distributed")
-    monkeypatch.setattr(dedup, "MINHASH_VERIFY_BROADCAST_LIMIT", -1)
-    joined = dedup.dedup_minhash_lsh(planted_dir, mode="distributed")
+    fn = {
+        "minhash": lambda d: dedup.dedup_minhash_lsh(d, mode="distributed"),
+        "simhash": lambda d: dedup.dedup_simhash(d, mode="distributed"),
+        "embedding_lsh": lambda d: dedup.dedup_embedding_cosine(
+            d, threshold=0.3, method="lsh", mode="distributed"),
+    }[op]
+    bcast = fn(planted_dir)
+    monkeypatch.setattr(dedup, "VERIFY_BROADCAST_BYTES", -1)
+    joined = fn(planted_dir)
     pd.testing.assert_frame_equal(bcast, joined)
+    assert len(bcast) >= 1
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -587,3 +596,45 @@ def test_pairs_in_partition_matches_naive_loop():
         .astype({"doc_a": "int64", "doc_b": "int64"})
     )
     pd.testing.assert_frame_equal(got, want)
+
+
+def test_lsh_packers_take_a_batch_without_candidates():
+    """The LSH payload packers run on source batches filtered down to the
+    candidate ids, so a batch can arrive with no rows: each still returns
+    a typed (id, pay) table."""
+    from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.pipelines.dedup import (
+        _pack_shingles,
+        _pack_vecs,
+    )
+
+    docs = pa.table({"doc_id": pa.array([], pa.int64()),
+                     "text": pa.array([], pa.string())})
+    vecs = pa.table({"vec_id": pa.array([], pa.int64()),
+                     "embedding": pa.array([], pa.list_(pa.float32()))})
+    for out in (_pack_shingles(docs), _pack_vecs(vecs)):
+        assert out.num_rows == 0
+        assert out.schema.field("id").type == pa.int64()
+        assert out.schema.field("pay").type == pa.binary()
+
+
+def test_sorted_payload_gather_matches_dict_lookup():
+    """The LSH tail finds ids by binary search in ids sorted once
+    (_sorted_payloads / _find_sorted / _attach_payloads): unsorted,
+    repeated and absent query ids agree with a plain dict lookup."""
+    from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.pipelines.dedup import (
+        _attach_payloads,
+        _find_sorted,
+        _sorted_payloads,
+    )
+
+    rng = np.random.RandomState(5)
+    ids = rng.permutation(1000).astype(np.int64) * 3
+    pays = _sorted_payloads(pa.table({"id": ids, "pay": ids * 10 + 1}))
+    x = rng.randint(-5, 3005, 700).astype(np.int64)
+    _, found = _find_sorted(x, pays[0])
+    assert found.tolist() == [0 <= v < 3000 and v % 3 == 0 for v in x]
+    a, b = ids[rng.randint(0, 1000, 300)], ids[rng.randint(0, 1000, 300)]
+    t = _attach_payloads(pa.table({"a": a, "b": b}), pays, "a", "b")
+    lookup = dict(zip(ids.tolist(), (ids * 10 + 1).tolist()))
+    assert t["pay_a"].to_pylist() == [lookup[v] for v in a.tolist()]
+    assert t["pay_b"].to_pylist() == [lookup[v] for v in b.tolist()]

@@ -66,6 +66,14 @@ def test_document_ops_start_no_actor():
     calls = [(name, _op(name), SF_DIR) for name in NO_ACTOR_OPS] + [
         ("dedup_clusters(mode='distributed')",
          lambda sf: dedup.dedup_clusters(sf, mode="distributed"), SF_DIR),
+        ("dedup_simhash(mode='distributed')",
+         lambda sf: dedup.dedup_simhash(sf, mode="distributed"), SF_DIR),
+        ("dedup_minhash_lsh(mode='distributed')",
+         lambda sf: dedup.dedup_minhash_lsh(sf, mode="distributed"), SF_DIR),
+        ("dedup_embedding_cosine(method='lsh', mode='distributed')",
+         lambda sf: dedup.dedup_embedding_cosine(sf, method="lsh",
+                                                 mode="distributed"),
+         SF_DIR),
     ] + [(name, getattr(graph, name), SF_SMALL) for name in GRAPH_OPS]
     for _name, call, sf in calls:
         call(sf)

@@ -31,7 +31,13 @@ def _write_docs(d, texts, langs=None):
 
 @pytest.fixture(scope="module")
 def empty_dir(tmp_path_factory):
-    return _write_docs(tmp_path_factory.mktemp("empty"), [])
+    d = _write_docs(tmp_path_factory.mktemp("empty"), [])
+    pq.write_table(
+        pa.table({"vec_id": pa.array([], pa.int64()),
+                  "embedding": pa.array([], pa.list_(pa.float32())),
+                  "label": pa.array([], pa.int32())}),
+        os.path.join(d, "embeddings.parquet"))
+    return d
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +52,8 @@ def degenerate_dir(tmp_path_factory):
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize(
     "op", ["curation", "clusters", "tfidf", "sample", "quantiles",
-           "winnow_pairs", "top_ngrams", "keep_best"])
+           "winnow_pairs", "top_ngrams", "keep_best", "exact", "minhash",
+           "simhash", "embedding_lsh"])
 def test_ops_on_empty_documents(empty_dir, op):
     from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.pipelines import (
         dedup, text,
@@ -61,6 +68,11 @@ def test_ops_on_empty_documents(empty_dir, op):
         "winnow_pairs": dedup.dedup_winnow_pairs,
         "top_ngrams": text.top_ngrams,
         "keep_best": dedup.dedup_keep_best,
+        "exact": dedup.dedup_exact,
+        "minhash": dedup.dedup_minhash_lsh,
+        "simhash": dedup.dedup_simhash,
+        "embedding_lsh": lambda d: dedup.dedup_embedding_cosine(
+            d, method="lsh"),
     }[op]
     out = fn(empty_dir)
     assert isinstance(out, pd.DataFrame)
