@@ -510,9 +510,9 @@ def run_steady() -> dict:
 
     # best-of-N trials: single-box runs are noisy (page cache, plasma,
     # sibling processes); min is the honest estimate of achievable time
-    # record_order=False + collect=False + no checkpoint → the crawl auto-
-    # selects frontier_mode="dataset": the frontier stays a Dataset end to
-    # end and the driver holds only counters
+    # record_order=False + collect=False → the crawl auto-selects
+    # frontier_mode="dataset": the frontier stays a Dataset end to end and
+    # the driver holds only counters
     steady_trials = []
     for _ in range(3):
         t0 = time.perf_counter()

@@ -52,10 +52,10 @@ class CrawlConfig:
     # pool lives for the Ray session and is reused by every crawl call
     # (stages/seen.ShardedSeen)
     seen_shards: int = 0
-    # most rows per fetch+extract batch. The driver loop cuts an epoch into
-    # one block per this many rows, or one per CPU when that is more (at
-    # most 32 blocks), and maps each block as one task in batches of at
-    # most this many rows; the dataset loop maps batches of this size
+    # most rows per fetch+extract batch. The table frontier form cuts an
+    # epoch into one block per this many rows, or one per CPU when that is
+    # more (at most 32 blocks), and maps each block as one task in batches
+    # of at most this many rows; the Dataset form maps batches of this size
     extract_batch_size: int = 256
     # fetch mode: "broadcast" (corpus index via ray.put — small corpora),
     # "join" (keys-first: frontier keys group by the corpus' persistent
@@ -79,13 +79,13 @@ class CrawlConfig:
     http_client_factory: object = None
     # record the (epoch, rank, url) golden ordering trace (costs a sort)
     record_order: bool = True
-    # frontier representation: "driver" keeps the frontier as a pandas
-    # DataFrame on the driver (deterministic rank trace, checkpointing);
-    # "dataset" keeps it as a ray.data.Dataset END-TO-END — drain refs →
+    # frontier representation: "driver" keeps the frontier as a table on
+    # the driver (needed by the rank trace and collect=True); "dataset"
+    # keeps it as a ray.data.Dataset END-TO-END — drain refs →
     # from_arrow_refs → next epoch's fetch, driver RSS flat at any
-    # frontier size (no order trace; no checkpoint support). "auto" picks
-    # dataset for the steady/scale shape (collect=False, record_order=False,
-    # no checkpoint)
+    # frontier size. Both forms write one checkpoint layout, and either
+    # resumes the other's. "auto" picks dataset unless collect=True or
+    # record_order asks for the table
     frontier_mode: str = "auto"
     # checkpoint directory; None disables checkpointing
     checkpoint_dir: str | None = None

@@ -1,13 +1,12 @@
-"""The frontier crawl pipeline — depth-epoch driver loop.
+"""The frontier crawl pipeline — one depth-epoch loop (``run_crawl``).
 
 Re-expresses the reference's unbounded async colly loop
 (crawler/crawler_twotier.go:248-254 + OnResponse at :98-175) as a
 deterministic sequence of bounded epochs, each at most one Ray Data job
-(SURVEY.md §2.8): the driver loop is the "stream", each epoch is
+(SURVEY.md §2.8): the epoch loop is the "stream", each epoch is
 
-    frontier ──(sort + per-host politeness budget + seed-set revisit
-        marking — driver pandas; the dataset-frontier loop runs the
-        same marking as Dataset ops)──▶
+    frontier ──(sort + per-host politeness budget + seed revisit
+        marking against the driver-held dispatched seed raws)──▶
         scheduled | deferred
     scheduled ──map_batches(FetchAndExtract)──▶ fetched
         [one fused stage: corpus lookup (zero-copy broadcast Arrow index
@@ -15,23 +14,31 @@ deterministic sequence of bounded epochs, each at most one Ray Data job
          candidate explosion with partial dedup, and (norm, min-key)
          offers streamed to the sharded seen actors — min is
          order-independent ⇒ deterministic]
-    seen.drain("norm") ──▶ survivors (next frontier)   [within-epoch dedup +
+    seen drain("norm") ──▶ survivors (next frontier)   [within-epoch dedup +
         cross-epoch anti-join commit, atomic per shard, no groupby shuffle]
-    seen.drain("doc") ──▶ download tasks   [doc candidates ride the same
+    seen drain("doc") ──▶ download tasks   [doc candidates ride the same
         shard min-offer stream, exploded + offered inside the fetch tasks]
-    everything ──▶ per-epoch checkpoint parquet + _SUCCESS
+    everything ──▶ per-epoch sinks + checkpoint parquet + _SUCCESS
 
 Scheduling state (the frontier) is URL rows only — thousands of times
 smaller than the page bodies, which stream through the fetch/extract/
 candidate stages without being materialized on the driver (bar a small
-epoch the driver fetches itself, below). This loop schedules the
-frontier driver-side in pandas (``_schedule_pandas``); the
-dataset-frontier loop (``frontier_mode="dataset"``) keeps it a
-Dataset end to end. Page-body stages are distributed, spread over every
-CPU from the first task (``_table_dataset``), except in a broadcast
-driver-loop epoch of at most ``DRIVER_FETCH_ROWS`` URLs: a job's fixed
-cost is more than its work, so the driver fetches it against the corpus
-index its download lane already holds.
+epoch the driver fetches itself, below). The frontier takes one of two
+forms, and they differ at exactly two steps:
+- a table on the driver (``frontier_mode="driver"``; the rank trace and
+  ``collect=True`` need it) is scheduled in pandas (``_schedule_table``)
+  and its next frontier is assembled from the shard drains on the driver;
+- a Dataset (``frontier_mode="dataset"``) is repartitioned and marked per
+  hash(host) partition (``_schedule_dataset``), and its next frontier is
+  read from the drain refs with ``from_arrow_refs``, so accepted rows
+  never pass through the driver.
+Fetch, counts, fence, downloads, sinks, checkpoint and resume are shared,
+so either form resumes the other's checkpoint. Page-body stages are
+distributed, spread over every CPU from the first task
+(``_table_dataset``), except in a broadcast table-form epoch of at most
+``DRIVER_FETCH_ROWS`` URLs: a job's fixed cost is more than its work, so
+the driver fetches it against the corpus index its download lane already
+holds.
 
 Determinism (matches oracle/crawl_sim.py — the shared spec):
 - epoch sort key (-priority, host, url_norm, url);
@@ -70,7 +77,11 @@ from ..stages.seen import assemble_drain as _assemble_drain
 from ..state import checkpoint as ckpt
 from ._schema import collect as _collect
 
-FRONTIER_COLS = ["url", "url_norm", "host", "depth", "priority"]
+FRONTIER_ARROW_SCHEMA = pa.schema([
+    ("url", pa.string()), ("url_norm", pa.string()), ("host", pa.string()),
+    ("depth", pa.int32()), ("priority", pa.int32()),
+])
+FRONTIER_COLS = FRONTIER_ARROW_SCHEMA.names
 
 
 @dataclass
@@ -102,7 +113,7 @@ def load_politeness(corpus_dir: str):
     return budgets, robots
 
 
-def _seed_frontier(seeds: list[str]) -> pd.DataFrame:
+def _seed_frontier(seeds: list[str]) -> pa.Table:
     """Seed validation (main.go:58-66 semantics — scheme defaults to https,
     host required) with ONE parse per seed (bulk-frontier hot path; matches
     oracle.crawl_sim.validate_seed + normalize_url + host_of)."""
@@ -121,7 +132,7 @@ def _seed_frontier(seeds: list[str]) -> pd.DataFrame:
             {"url": s, "url_norm": nh[0], "host": nh[1],
              "depth": 0, "priority": 0}
         )
-    return pd.DataFrame(rows, columns=FRONTIER_COLS)
+    return pa.Table.from_pylist(rows, schema=FRONTIER_ARROW_SCHEMA)
 
 
 def _schedule_pandas(
@@ -226,27 +237,32 @@ def _mark_revisits(scheduled: pd.DataFrame,
     return scheduled
 
 
-def _accepted_to_table(accepted: pa.Table) -> pa.Table | None:
-    """Pure-Arrow split of the drain table (url_norm, "%09d\x1furl" key):
-    the depth prefix is fixed-width so slice+cast does it, and the host
-    comes from one C regex pass over the normalized URL. This runs on the
-    DRIVER once per epoch over every accepted candidate — at 700k rows the
-    old pandas str.split chain was ~3 s of single-threaded fixed cost that
-    capped scaling; the Arrow kernels do it in ~0.2 s."""
+def _cast_frontier(t: pa.Table) -> pa.Table:
+    return t.select(FRONTIER_COLS).cast(FRONTIER_ARROW_SCHEMA)
+
+
+def _drained_to_frontier(accepted: pa.Table) -> pa.Table:
+    """Pure-Arrow split of drain rows (url_norm, "%09d\x1furl" key) into
+    frontier rows (priority 0): the depth prefix is fixed-width so
+    slice+cast does it, and the host comes from one C regex pass over the
+    normalized URL. In the table form this runs on the DRIVER once per
+    epoch over every accepted candidate — at 700k rows the old pandas
+    str.split chain was ~3 s of single-threaded fixed cost that capped
+    scaling; the Arrow kernels do it in ~0.2 s."""
     import pyarrow.compute as pc
 
     if accepted.num_rows == 0:
-        return None
+        return FRONTIER_ARROW_SCHEMA.empty_table()
     norms = accepted["url_norm"].combine_chunks()
     keys = accepted["key"].combine_chunks()
-    depth = pc.utf8_slice_codeunits(keys, 0, 9).cast(pa.int32())
-    url = pc.utf8_slice_codeunits(keys, 10, 2**30)
-    host = pc.struct_field(
-        pc.extract_regex(norms, r"^[^:/?#]+://(?P<h>[^/?#]*)"), "h"
-    )
-    return pa.table(
-        {"url": url, "url_norm": norms, "host": host, "depth": depth}
-    )
+    return pa.table({
+        "url": pc.utf8_slice_codeunits(keys, 10, 2**30),
+        "url_norm": norms,
+        "host": pc.struct_field(
+            pc.extract_regex(norms, r"^[^:/?#]+://(?P<h>[^/?#]*)"), "h"),
+        "depth": pc.utf8_slice_codeunits(keys, 0, 9).cast(pa.int32()),
+        "priority": pa.array(np.zeros(len(norms), np.int32)),
+    })
 
 
 # A job over a driver-held table cuts it into at most MAX_BLOCKS blocks,
@@ -290,16 +306,16 @@ def _fetch_dataset(sched_ds: rd.Dataset, n_rows: int, batch_rows: int,
                    seen_handles: list, robots_disallow: dict,
                    epoch_token: str) -> rd.Dataset:
     """The epoch's lazy fused fetch+extract+offer plan over the ``n_rows``
-    scheduled rows (``revisit`` marked), for both frontier loops, mapped
-    in batches of ``batch_rows``: the driver loop passes its blocks' rows
+    scheduled rows (``revisit`` marked), for both frontier forms, mapped
+    in batches of ``batch_rows``: the table form passes its blocks' rows
     (``_table_dataset``) capped at ``cfg.extract_batch_size``, so each
-    block is one task; the dataset loop passes ``cfg.extract_batch_size``.
+    block is one task; the Dataset form passes ``cfg.extract_batch_size``.
     ``broadcast`` looks pages up in the zero-copy corpus broadcast;
     ``http`` fetches live through an autoscaling actor pool (client built
     once per actor); ``join`` is keys-first: the frontier (keys +
     metadata, never bodies) groups by the corpus' persistent hash-bucket
     layout and each task joins against its own bucket's parquet in place
-    (stages/fetch.LocalBucketJoin). A driver-loop broadcast epoch of at
+    (stages/fetch.LocalBucketJoin). A table-form broadcast epoch of at
     most ``DRIVER_FETCH_ROWS`` rows runs ``FetchAndExtract`` in the driver
     instead (``run_crawl``)."""
     if mode == "broadcast":
@@ -396,8 +412,8 @@ PHASES = ("setup", "schedule", "fetch", "counts", "fence", "downloads",
 
 
 class _PhaseTimer:
-    """Summed wall seconds per phase of one crawl call, shared by both
-    frontier loops and returned as ``CrawlRunResult.counters["phases"]``:
+    """Summed wall seconds per phase of one crawl call, for both frontier
+    forms, returned as ``CrawlRunResult.counters["phases"]``:
     ``lap(name)`` charges the time since the previous lap to ``name``, so
     the phases add up to the call's time up to its last lap."""
 
@@ -582,412 +598,108 @@ class DownloadHttp:
         )
 
 
-def run_crawl(
-    corpus_dir: str,
-    cfg: CrawlConfig | None = None,
-    seeds: list[str] | None = None,
-    host_budgets: dict[str, int] | None = None,
-    robots_disallow: dict[str, list[str]] | None = None,
-    use_politeness_table: bool = False,
-    max_epochs: int | None = None,
-    resume: bool = False,
-    collect: bool = True,
-    seen_sink: str | None = None,
-    extracted_sink: str | None = None,
-) -> CrawlRunResult:
-    """Run the full crawl over a corpus directory (pages/seeds/politeness
-    parquet as written by corpus.write_corpus). Ray must already be
-    initialised by the caller.
+def _seen_rows(survivors: pa.Table, epoch: int) -> pa.Table:
+    """An epoch's accepted norms as ``CrawlRunResult.seen`` rows."""
+    return pa.table({
+        "url_norm": survivors["url_norm"],
+        "first_depth": survivors["depth"],
+        "url": survivors["url"],
+        "epoch": pa.array(np.full(survivors.num_rows, epoch, np.int32)),
+    })
 
-    Data contract: the pages table is keyed by ``url`` and MUST be unique
-    per url (corpus.write_corpus guarantees it). Every fetch mode assumes
-    it — the broadcast index keeps one row per key, and the bucket join
-    would emit duplicate fetches on a corpus with dup urls.
 
-    ``collect=False`` keeps page-scale outputs distributed (extracted rows
-    are written per-epoch via ``Dataset.write_parquet`` when a checkpoint
-    dir is set, or just counted) — the 100 TB mode; the driver only ever
-    holds frontier rows and counters. Broadcast mode puts the corpus in
-    the object store once per Ray session and corpus stamp
-    (``_corpus_broadcast``), so back-to-back crawls share it."""
-    import pyarrow.parquet as pq
-
-    timer = _PhaseTimer()
-    cfg = cfg or CrawlConfig()
-    if seeds is None:
-        seeds = pq.read_table(os.path.join(corpus_dir, "seeds.parquet"))[
-            "url"
-        ].to_pylist()
-    if use_politeness_table:
-        tb, tr = load_politeness(corpus_dir)
-        host_budgets = {**tb, **(host_budgets or {})}
-        if cfg.respect_robots:
-            robots_disallow = {**tr, **(robots_disallow or {})}
-    host_budgets = host_budgets or {}
-    robots_disallow = robots_disallow if cfg.respect_robots else {}
-
-    pages_path = os.path.join(corpus_dir, "pages")
-    mode = cfg.fetch_mode
-    if mode == "auto":
-        import pyarrow.dataset as pads
-
-        n_corpus_rows = pads.dataset(pages_path).count_rows()
-        mode = "broadcast" if n_corpus_rows <= cfg.broadcast_row_limit else "join"
-
-    # broadcast as an Arrow table: zero-copy page bytes in plasma, shared
-    # by every worker process (stages/fetch.cached_corpus_index)
-    corpus_ref = _corpus_broadcast(pages_path) if mode == "broadcast" else None
-
-    # dataset-frontier dispatch: the steady/scale loop keeps the frontier
-    # distributed end-to-end (no driver materialization of candidates)
-    want_dataset = cfg.frontier_mode == "dataset" or (
-        cfg.frontier_mode == "auto" and not collect and not cfg.record_order
-        and cfg.checkpoint_dir is None and not resume
+def _schedule_table(frontier: pa.Table, epoch: int, cfg: CrawlConfig,
+                    host_budgets: dict, dispatched: set, seed_raws):
+    """Table-form scheduling on the driver: sort + per-host budget in
+    pandas, the rank trace, and T2 revisit marking (``_mark_revisits``)
+    against the seed raws dispatched so far, which it extends. Returns
+    (scheduled rows with ``revisit``, deferred rows, rank trace or None)."""
+    df = frontier.to_pandas()
+    if cfg.record_order or host_budgets or cfg.default_host_budget > 0:
+        scheduled, deferred = _schedule_pandas(
+            df, host_budgets, cfg.default_host_budget)
+    else:
+        # trace off + unlimited budgets: scheduling is the identity (no
+        # deterministic rank needed) — skip the big sort
+        scheduled, deferred = df, df.iloc[:0]
+    order_tbl = None
+    if cfg.record_order:
+        order_tbl = pa.table({
+            "epoch": pa.array(np.full(len(scheduled), epoch, np.int32)),
+            "rank": pa.array(range(len(scheduled)), pa.int64()),
+            "url": pa.array(scheduled["url"], pa.string()),
+            "host": pa.array(scheduled["host"], pa.string()),
+            "depth": pa.array(scheduled["depth"], pa.int32()),
+            "priority": pa.array(scheduled["priority"], pa.int32()),
+        })
+    scheduled = _mark_revisits(scheduled, dispatched)
+    dispatched.update(set(scheduled["url"]) & seed_raws)
+    return (
+        pa.Table.from_pandas(scheduled[FRONTIER_COLS + ["revisit"]],
+                             preserve_index=False),
+        _cast_frontier(pa.Table.from_pandas(deferred, preserve_index=False)),
+        order_tbl,
     )
-    if want_dataset:
-        if collect or cfg.record_order:
-            raise ValueError(
-                "frontier_mode='dataset' supports neither collect nor the "
-                "rank trace — use frontier_mode='driver'"
-            )
-        return _run_crawl_dataset_frontier(
-            corpus_dir, cfg, seeds, host_budgets, robots_disallow,
-            max_epochs, corpus_ref, mode, timer, seen_sink=seen_sink,
-            extracted_sink=extracted_sink, resume=resume,
-        )
-
-    seen = ShardedSeen(cfg.seen_shards)
-    offers_expected = 0  # cumulative fence targets for fire-and-forget offers
-    doc_offers_expected = 0
-    metrics = None
-    if cfg.live_metrics:
-        from ..state.metrics import get_or_create_metrics
-
-        metrics = get_or_create_metrics(reset=True)
-    dispatched_seed_raws: set[str] = set()
-    # T8 retry lane (downloader.go:153-179): failed download tasks re-queue
-    # for the next epoch with priority, up to cfg.max_retries attempts
-    pending_retry: list[tuple[str, int, int]] = []  # (url, depth, attempt)
-    res = CrawlRunResult()
-    acc: dict[str, list[pa.Table]] = {
-        "extracted": [], "order": [], "downloads": [], "seen": []
-    }
-
-    start_epoch = 0
-    frontier = _seed_frontier(seeds)
-    seed_raw_set = frozenset(frontier["url"]) if len(frontier) else frozenset()
-    if resume and cfg.checkpoint_dir:
-        done = ckpt.complete_epochs(cfg.checkpoint_dir)
-        if done:
-            for k in done:
-                try:
-                    ext = ckpt.read_epoch_table(cfg.checkpoint_dir, k, "extracted")
-                    acc["extracted"].append(ext)
-                except FileNotFoundError:
-                    pass  # collect=False runs sink extracted via write_parquet
-                acc["order"].append(ckpt.read_epoch_table(cfg.checkpoint_dir, k, "order"))
-                dl = ckpt.read_epoch_table(cfg.checkpoint_dir, k, "downloads")
-                acc["downloads"].append(dl)
-                sd = ckpt.read_epoch_table(cfg.checkpoint_dir, k, "seen_delta")
-                acc["seen"].append(sd)
-                # rebuild shard state from deltas (raw-revisit state is
-                # the driver-side dispatched-seed set — see _mark_revisits)
-                dispatched_seed_raws.update(
-                    set(acc["order"][-1]["url"].to_pylist()) & seed_raw_set
-                )
-                seen.check_and_add("norm", sd["url_norm"].to_pylist())
-                seen.check_and_add("doc", dl["url"].to_pylist())
-            start_epoch = done[-1] + 1
-            frontier = ckpt.read_epoch_table(
-                cfg.checkpoint_dir, done[-1], "frontier_next"
-            ).to_pandas()
-            try:
-                rt = ckpt.read_epoch_table(
-                    cfg.checkpoint_dir, done[-1], "retries_next"
-                )
-                pending_retry = [
-                    (u, int(d), int(a))
-                    for u, d, a in zip(rt["url"].to_pylist(),
-                                       rt["depth"].to_pylist(),
-                                       rt["attempt"].to_pylist())
-                ]
-            except FileNotFoundError:
-                pending_retry = []
-            if pending_retry:
-                # a doc deferred over the download budget was doc-seen-added
-                # in its discovery epoch but has no downloads row yet — the
-                # retry lane alone carries it, so re-add it to the doc set
-                # or a later link to the same doc double-queues it
-                seen.check_and_add(
-                    "doc", sorted({u for u, _, _ in pending_retry}))
-            # restore the fetched counter (collect=True recomputes it from
-            # the restored extracted tables after the loop; collect=False
-            # has no tables, so sum the per-epoch metas)
-            import json as _json
-
-            for k in done:
-                try:
-                    with open(os.path.join(
-                            ckpt.epoch_dir(cfg.checkpoint_dir, k),
-                            "meta.json")) as f:
-                        res.pages_fetched += int(
-                            _json.load(f).get("fetched_ok") or 0)
-                except FileNotFoundError:
-                    pass
-
-    epoch = start_epoch
-    fetch_epochs = {"driver": 0, "job": 0}
-    timer.lap("setup")
-    try:
-        while len(frontier) > 0 or pending_retry:
-            if max_epochs is not None and epoch - start_epoch >= max_epochs:
-                break
-            if (not cfg.record_order and not host_budgets
-                    and cfg.default_host_budget <= 0):
-                # trace off + unlimited budgets: scheduling is the identity
-                # (no deterministic rank needed) — skip the big sort
-                scheduled, deferred = (
-                    frontier.reset_index(drop=True),
-                    pd.DataFrame(columns=FRONTIER_COLS),
-                )
-            else:
-                scheduled, deferred = _schedule_pandas(
-                    frontier, host_budgets, cfg.default_host_budget
-                )
-            order_tbl = pa.table(
-                {
-                    "epoch": pa.array([epoch] * len(scheduled), pa.int32()),
-                    "rank": pa.array(range(len(scheduled)), pa.int64()),
-                    "url": pa.array(scheduled["url"], pa.string()),
-                    "host": pa.array(scheduled["host"], pa.string()),
-                    "depth": pa.array(scheduled["depth"], pa.int32()),
-                    "priority": pa.array(scheduled["priority"], pa.int32()),
-                }
-            )
-
-            # raw-revisit (T2) is a pure driver-side computation against
-            # the seed set — see stages/fetch.py docstring for the proof
-            scheduled = _mark_revisits(scheduled, dispatched_seed_raws)
-            dispatched_seed_raws.update(set(scheduled["url"]) & seed_raw_set)
-
-            epoch_token = seen.epoch_token(epoch)
-            # the epoch's fetched rows: None in a retry-drain epoch, a
-            # table when the driver fetched them, else a Dataset
-            fetched = None
-            in_driver = False
-            if len(scheduled):
-                sched_tbl = pa.Table.from_pandas(
-                    scheduled[FRONTIER_COLS + ["revisit"]],
-                    preserve_index=False,
-                )
-                in_driver = mode == "broadcast" and _in_driver(
-                    len(scheduled), DRIVER_FETCH_ROWS, corpus_ref)
-                fetch_epochs["driver" if in_driver else "job"] += 1
-                if not in_driver:
-                    sched_ds, per = _table_dataset(
-                        sched_tbl, _job_blocks(len(scheduled),
-                                               cfg.extract_batch_size))
-                    # a batch no larger than a block splits it and never
-                    # bundles blocks: still one task per block
-                    fetched = _fetch_dataset(
-                        sched_ds, len(scheduled),
-                        min(per, cfg.extract_batch_size), mode, cfg,
-                        corpus_ref, pages_path, seen.handles(),
-                        robots_disallow, epoch_token,
-                    )
-            timer.lap("schedule")
-            if in_driver:
-                # less work than a job's fixed cost: the driver holds the
-                # same corpus index for its download lane
-                fetched = _DRIVER_FETCH_THREAD.submit(FetchAndExtract(
-                    cfg, corpus_ref, seen.handles(), robots_disallow,
-                    epoch_token), sched_tbl).result()
-            elif fetched is not None:
-                # materialize barriers the epoch: every fetch task has
-                # extracted AND submitted its candidate offers
-                # (fire-and-forget) before the fence below
-                fetched = fetched.materialize()
-            timer.lap("fetch")
-
-            # counters (doc offers are fused into the fetch tasks):
-            # collect=True (test/bench scale) counts the collected rows;
-            # collect=False (steady/100 TB) runs ONE tiny stats job
-            ext_tbl = None
-            if collect:
-                if isinstance(fetched, rd.Dataset):
-                    fetched = _collect(fetched)
-                ext_tbl = fetched or FETCHED_SCHEMA.empty_table()
-            counts = _epoch_counts(ext_tbl if collect else fetched)
-            # (collect=True resets pages_fetched from the extracted rows
-            # after the loop)
-            res.pages_fetched += counts["ok_n"]
-            timer.lap("counts")
-
-            # fence both offer streams, then drain: norm drains run async
-            # while the download section below executes; the doc drain is
-            # tiny (accepted NEW doc urls only) and feeds it
-            offers_expected += counts["offers"]
-            doc_offers_expected += counts["doc_offers"]
-            wait_offers_received(seen.handles(), "norm", offers_expected)
-            wait_offers_received(seen.handles(), "doc", doc_offers_expected)
-            drain_refs = [
-                sh.drain_epoch.remote("norm") for sh in seen.handles()
-            ]
-            new_tasks = _doc_drain_to_tasks(seen.drain("doc"))
-            timer.lap("fence")
-
-            # --- documents -> simulated download (dedup already happened
-            # in the shards' doc min-offer stream; retry lane first with
-            # priority, then new tasks — T8) ---
-            dl_tbl, pending_retry, n_new_docs = _download_lane(
-                new_tasks, pending_retry, cfg, mode, corpus_ref,
-                pages_path, epoch,
-            )
-            timer.lap("downloads")
-
-            survivors = _accepted_to_table(
-                _assemble_drain(ray.get(drain_refs)))
-            if survivors is not None and survivors.num_rows:
-                # accepted pairs are norm-sorted (assemble_drain sorts)
-                sdf = survivors.to_pandas()
-                seen_delta = pa.table(  # zero-copy column reuse
-                    {
-                        "url_norm": survivors["url_norm"],
-                        "first_depth": survivors["depth"],
-                        "url": survivors["url"],
-                        "epoch": pa.array(
-                            np.full(survivors.num_rows, epoch, np.int32)
-                        ),
-                    }
-                )
-            else:
-                sdf = pd.DataFrame(columns=["url", "url_norm", "host", "depth"])
-                seen_delta = pa.table(
-                    {
-                        "url_norm": pa.array([], pa.string()),
-                        "first_depth": pa.array([], pa.int32()),
-                        "url": pa.array([], pa.string()),
-                        "epoch": pa.array([], pa.int32()),
-                    }
-                )
-            new_frontier = sdf.assign(priority=0)[FRONTIER_COLS] if len(sdf) else \
-                pd.DataFrame(columns=FRONTIER_COLS)
-            next_frontier = pd.concat([deferred, new_frontier], ignore_index=True)
-            if ext_tbl is not None:
-                ext_tbl = ext_tbl.append_column(
-                    "epoch", pa.array([epoch] * ext_tbl.num_rows, pa.int32())
-                )
-                acc["extracted"].append(ext_tbl)
-            acc["order"].append(order_tbl)
-            acc["downloads"].append(dl_tbl)
-            acc["seen"].append(seen_delta)
-            timer.lap("frontier")
-
-            _push_epoch_metrics(
-                metrics, seen, epoch, len(scheduled), counts["ok_n"],
-                n_new_docs, dl_tbl, len(pending_retry), len(next_frontier),
-            )
-            if fetched is not None and not collect:
-                # distributed sinks: one partition dir per epoch
-                if isinstance(fetched, pa.Table):
-                    fetched = rd.from_arrow(fetched)
-                if cfg.checkpoint_dir:
-                    fetched.write_parquet(os.path.join(
-                        cfg.checkpoint_dir, f"epoch={epoch}", "extracted"))
-                if extracted_sink:
-                    fetched.write_parquet(
-                        os.path.join(extracted_sink, f"epoch={epoch}"))
-            if cfg.checkpoint_dir:
-                ckpt_tables = {
-                        "frontier_next": pa.Table.from_pandas(
-                            next_frontier, preserve_index=False
-                        ) if len(next_frontier) else pa.table(
-                            {c: pa.array([], pa.string() if c not in
-                                         ("depth", "priority") else pa.int32())
-                             for c in FRONTIER_COLS}
-                        ),
-                        "order": order_tbl,
-                        "downloads": dl_tbl,
-                        "seen_delta": seen_delta,
-                        "retries_next": pa.table(
-                            {
-                                "url": pa.array([w[0] for w in pending_retry],
-                                                pa.string()),
-                                "depth": pa.array([w[1] for w in pending_retry],
-                                                  pa.int32()),
-                                "attempt": pa.array(
-                                    [w[2] for w in pending_retry], pa.int32()
-                                ),
-                            }
-                        ),
-                }
-                if ext_tbl is not None:
-                    # collect=False writes extracted distributed instead
-                    ckpt_tables["extracted"] = ext_tbl
-                ckpt.write_epoch(
-                    cfg.checkpoint_dir,
-                    epoch,
-                    ckpt_tables,
-                    meta={
-                        "epoch": epoch,
-                        "scheduled": len(scheduled),
-                        "fetched_ok": counts["ok_n"],
-                        "seen_total": seen.total("norm"),
-                    },
-                )
-            timer.lap("write")
-            frontier = next_frontier
-            epoch += 1
-    finally:
-        seen.kill()
-
-    # --- assemble result tables ---
-    ext_all = pa.concat_tables(acc["extracted"]) if acc["extracted"] else None
-    if ext_all is not None and "offers_sent" in ext_all.column_names:
-        ext_all = ext_all.drop_columns(["offers_sent"])  # fence-internal
-    res.extracted = (
-        ext_all.filter(pa.compute.equal(ext_all["status"], 200))
-        if ext_all is not None else None
-    )
-    if ext_all is not None:
-        res.fetch_log = ext_all.select(
-            ["url", "epoch", "depth", "status", "bytes", "ok"]
-        )
-        res.pages_fetched = res.extracted.num_rows
-    res.order = pa.concat_tables(acc["order"]) if acc["order"] else None
-    res.downloads = pa.concat_tables(acc["downloads"]) if acc["downloads"] else None
-    res.seen = pa.concat_tables(acc["seen"]) if acc["seen"] else None
-    res.n_epochs = epoch
-    res.counters = {
-        "epochs": epoch,
-        "pages_fetched": res.pages_fetched,
-        "seen": res.seen.num_rows if res.seen is not None else 0,
-        "phases": timer.phases,
-        "fetch_epochs": fetch_epochs,
-    }
-    if metrics is not None:
-        res.counters["metrics"] = ray.get(metrics.snapshot.remote())
-    return res
 
 
-FRONTIER_ARROW_SCHEMA = pa.schema(
-    [
-        ("url", pa.string()),
-        ("url_norm", pa.string()),
-        ("host", pa.string()),
-        ("depth", pa.int32()),
-        ("priority", pa.int32()),
-    ]
-)
+def _schedule_dataset(frontier: rd.Dataset, frontier_count: int, epoch: int,
+                      cfg: CrawlConfig, host_budgets: dict, dispatched: set,
+                      seed_raws, seed_ref):
+    """Dataset-form scheduling: repartition the frontier over the CPUs,
+    mark the per-host budget with one ``_budget_mark_partition`` pass per
+    hash(host) partition, and mark T2 revisits in the fetch tasks against
+    this epoch's seed winners (``_resolve_seed_revisits``), which extend
+    the dispatched seed raws. Returns (scheduled Dataset with ``revisit``,
+    scheduled rows, deferred Dataset or None, deferred rows)."""
+    from functools import partial
 
-
-def _cast_frontier(t: pa.Table) -> pa.Table:
-    return pa.table(
-        {
-            f.name: t[f.name].cast(f.type)
-            for f in FRONTIER_ARROW_SCHEMA
-        }
-    )
+    # one parquet-table/from_arrow frontier = ONE block = one serial fetch
+    # task: spread the epoch's rows so fetch parallelism matches the CPUs
+    n_cpu = int(ray.cluster_resources().get("CPU", 8))
+    n_blocks = max(1, min(max(32, 2 * n_cpu),
+                          -(-frontier_count // cfg.extract_batch_size)))
+    sched_ds = frontier.repartition(n_blocks)
+    deferred, n_deferred = None, 0
+    budgets_on = bool(host_budgets) or cfg.default_host_budget > 0
+    if budgets_on:
+        # hash(host) co-partition + ONE vectorized marking pass per
+        # partition — never a Python call per host (a web frontier has
+        # millions of hosts)
+        n_part = max(8, min(512, frontier_count // 25_000 + 2))
+        marked = (
+            sched_ds.map_batches(_stamp_host_part(n_part),
+                                 batch_format="pyarrow")
+            .groupby("part")
+            .map_groups(partial(_budget_mark_partition, budgets=host_budgets,
+                                default_budget=cfg.default_host_budget),
+                        batch_format="pandas")
+        ).materialize()
+        sched_ds = marked.filter(expr="sched == True").map_batches(
+            _cast_frontier, batch_format="pyarrow")
+        deferred = marked.filter(expr="sched == False").map_batches(
+            lambda t: _cast_frontier(t.set_column(
+                t.schema.get_field_index("priority"), "priority",
+                pa.array(np.ones(t.num_rows, np.int32)))),
+            batch_format="pyarrow",
+        ).materialize()
+        n_deferred = deferred.count()
+    if epoch == 0 and not budgets_on:
+        # bulk-seed fast path: epoch 0's schedule is exactly the
+        # (driver-deduped) seed list and nothing was dispatched — every row
+        # is its own winner; skip the contest scan (at 240k seeds it cost
+        # ~3 s of driver collect+sort for a trivial result)
+        winners = dict.fromkeys(seed_raws, (0, 0))
+    elif len(dispatched) >= len(seed_raws):
+        # every seed raw is already dispatched: all seed-matching rows are
+        # revisits — skip the frontier scan entirely
+        winners = {}
+    else:
+        winners = _resolve_seed_revisits(sched_ds, seed_ref, dispatched)
+    dispatched.update(winners)
+    sched_ds = sched_ds.map_batches(
+        MarkRevisitsInTask(seed_ref, ray.put(winners)),
+        batch_format="pyarrow")
+    return sched_ds, frontier_count - n_deferred, deferred, n_deferred
 
 
 class _KeepSeedRows:
@@ -1007,16 +719,15 @@ class _KeepSeedRows:
         )
 
 
-def _resolve_seed_revisits(sched_ds, seed_ref, seen) -> dict:
-    """T2 raw-revisit decisions for one dataset-mode epoch, resolved
+def _resolve_seed_revisits(sched_ds, seed_ref, dispatched: set) -> dict:
+    """T2 raw-revisit decisions for one Dataset-form epoch, resolved
     DETERMINISTICALLY on the driver: the seed-matching rows (≤ n_seeds —
     bounded regardless of frontier size) are collected, ordered by the
     schedule comparator (-priority, host, url_norm, url; depth ascending
-    as the final tie-break), and the first occurrence per raw url that the
-    shards' ``raw`` state accepts becomes the winner. A shard-side
-    first-come check_and_add inside the fetch tasks would instead resolve
-    same-epoch duplicates by actor-call race (and a Ray task retry would
-    re-ask and corrupt a genuine first dispatch into a 304)."""
+    as the final tie-break), and the first occurrence per raw url not yet
+    dispatched becomes the winner. A first-come check inside the fetch
+    tasks would instead resolve same-epoch duplicates by race (and a Ray
+    task retry would turn a genuine first dispatch into a 304)."""
     seed_hits = _collect(sched_ds.map_batches(
         _KeepSeedRows(seed_ref), batch_format="pyarrow"))
     if seed_hits is None or seed_hits.num_rows == 0:
@@ -1025,19 +736,17 @@ def _resolve_seed_revisits(sched_ds, seed_ref, seen) -> dict:
         ["priority", "host", "url_norm", "url", "depth"],
         ascending=[False, True, True, True, True], kind="mergesort",
     ).drop_duplicates("url", keep="first")
-    fresh = seen.check_and_add("raw", shp["url"].tolist())
     return {
         u: (int(d), int(p))
-        for u, d, p, ok in zip(shp["url"], shp["depth"], shp["priority"],
-                               fresh)
-        if ok
+        for u, d, p in zip(shp["url"], shp["depth"], shp["priority"])
+        if u not in dispatched
     }
 
 
 class MarkRevisitsInTask:
-    """Dataset-frontier revisit marking (T2): pure broadcast-lookup
-    against the per-epoch winner decisions (_resolve_seed_revisits) — no
-    shard RPC in the fetch path, deterministic under task retries. A
+    """Dataset-form revisit marking (T2): pure broadcast-lookup against
+    the per-epoch winner decisions (_resolve_seed_revisits) — no driver
+    or shard call in the fetch path, deterministic under task retries. A
     seed-raw row is a revisit unless it IS the winner row."""
 
     def __init__(self, seed_ref, winners_ref):
@@ -1067,175 +776,208 @@ class MarkRevisitsInTask:
         return t.append_column("revisit", pa.array(revisit))
 
 
-def _run_crawl_dataset_frontier(
+def run_crawl(
     corpus_dir: str,
-    cfg: CrawlConfig,
-    seeds: list[str],
-    host_budgets: dict[str, int],
-    robots_disallow: dict[str, list[str]],
-    max_epochs: int | None,
-    corpus_ref,
-    mode: str,
-    timer: _PhaseTimer,
+    cfg: CrawlConfig | None = None,
+    seeds: list[str] | None = None,
+    host_budgets: dict[str, int] | None = None,
+    robots_disallow: dict[str, list[str]] | None = None,
+    use_politeness_table: bool = False,
+    max_epochs: int | None = None,
+    resume: bool = False,
+    collect: bool = True,
     seen_sink: str | None = None,
     extracted_sink: str | None = None,
-    resume: bool = False,
 ) -> CrawlRunResult:
-    """The 100 TB steady loop: the frontier is a ``ray.data.Dataset`` from
-    seed to sink. Per epoch: (budget map_groups →) in-task revisit marking
-    → fused fetch+extract+offer → offer fence → per-shard drain TABLE refs
-    → ``from_arrow_refs`` → pure-Arrow key split → next frontier. Accepted
-    candidates never pass through the driver; driver state is counters,
-    the retry lane and the (tiny) seed set. No rank trace, no checkpoint
-    (use frontier_mode="driver" for those)."""
+    """Run the full crawl over a corpus directory (pages/seeds/politeness
+    parquet as written by corpus.write_corpus). Ray must already be
+    initialised by the caller.
+
+    Data contract: the pages table is keyed by ``url`` and MUST be unique
+    per url (corpus.write_corpus guarantees it). Every fetch mode assumes
+    it — the broadcast index keeps one row per key, and the bucket join
+    would emit duplicate fetches on a corpus with dup urls.
+
+    The frontier is a table on the driver (``cfg.frontier_mode="driver"``;
+    needed by the rank trace and ``collect=True``) or a Dataset end to end
+    (``"dataset"``; the driver holds counters, the retry lane and the seed
+    raws only). ``"auto"`` picks the Dataset form when neither is asked
+    for. The two forms differ in scheduling and in next-frontier assembly;
+    the rest of the epoch, the sinks, the checkpoint and resume are one
+    code path, so either form resumes the other's checkpoint.
+
+    ``collect=False`` keeps page-scale outputs distributed: extracted rows
+    go to ``extracted_sink`` (and, in the table form, the checkpoint), one
+    parquet directory per epoch, or are just counted. ``seen_sink`` gets
+    each epoch's accepted frontier rows. Broadcast mode puts the corpus
+    in the object store once per Ray session and corpus stamp
+    (``_corpus_broadcast``), so back-to-back crawls share it."""
+    import pyarrow.parquet as pq
+
+    timer = _PhaseTimer()
+    cfg = cfg or CrawlConfig()
+    if seeds is None:
+        seeds = pq.read_table(os.path.join(corpus_dir, "seeds.parquet"))[
+            "url"
+        ].to_pylist()
+    if use_politeness_table:
+        tb, tr = load_politeness(corpus_dir)
+        host_budgets = {**tb, **(host_budgets or {})}
+        if cfg.respect_robots:
+            robots_disallow = {**tr, **(robots_disallow or {})}
+    host_budgets = host_budgets or {}
+    robots_disallow = robots_disallow if cfg.respect_robots else {}
+
     pages_path = os.path.join(corpus_dir, "pages")
+    mode = cfg.fetch_mode
+    if mode == "auto":
+        import pyarrow.dataset as pads
+
+        n_corpus_rows = pads.dataset(pages_path).count_rows()
+        mode = "broadcast" if n_corpus_rows <= cfg.broadcast_row_limit else "join"
+
+    # broadcast as an Arrow table: zero-copy page bytes in plasma, shared
+    # by every worker process (stages/fetch.cached_corpus_index)
+    corpus_ref = _corpus_broadcast(pages_path) if mode == "broadcast" else None
+
+    as_table = cfg.frontier_mode == "driver" or (
+        cfg.frontier_mode == "auto" and (collect or cfg.record_order))
+    if not as_table and (collect or cfg.record_order):
+        raise ValueError(
+            "frontier_mode='dataset' supports neither collect nor the "
+            "rank trace — use frontier_mode='driver'"
+        )
+
     seen = ShardedSeen(cfg.seen_shards)
+    offers_expected = 0  # cumulative fence targets for fire-and-forget offers
+    doc_offers_expected = 0
     metrics = None
     if cfg.live_metrics:
         from ..state.metrics import get_or_create_metrics
 
         metrics = get_or_create_metrics(reset=True)
-    offers_expected = 0
-    doc_offers_expected = 0
     res = CrawlRunResult()
     dl_acc: list[pa.Table] = []
-    pending_retry: list[tuple[str, int, int]] = []
+    # the table form also keeps every epoch's seen rows, the rank trace
+    # when recorded and the extracted rows when collected
+    tables: dict[str, list[pa.Table]] = {"seen": []} if as_table else {}
+    if cfg.record_order:
+        tables["order"] = []
+    if collect:
+        tables["extracted"] = []
+    # T8 retry lane (downloader.go:153-179): failed download tasks re-queue
+    # for the next epoch with priority, up to cfg.max_retries attempts
+    pending_retry: list[tuple[str, int, int]] = []  # (url, depth, attempt)
 
-    seed_df = _seed_frontier(seeds)
-    seed_ref = ray.put(pa.array(sorted(set(seed_df["url"])), pa.string()))
-    n_seed_urls = len(set(seed_df["url"]))
-    raws_claimed = 0  # seed raws committed so far (drives the scan skip)
-    frontier_ds = rd.from_arrow(
-        _cast_frontier(pa.Table.from_pandas(seed_df, preserve_index=False))
-    ) if len(seed_df) else None
-    frontier_count = len(seed_df)
-    default_budget = cfg.default_host_budget
-    budgets_on = bool(host_budgets) or default_budget > 0
-
-    from functools import partial
-
-    mark_budget = partial(_budget_mark_partition, budgets=host_budgets,
-                          default_budget=default_budget)
-
-    epoch = 0
-    scheduled_total = 0
-    n_fetch_jobs = 0
+    frontier = _seed_frontier(seeds)
+    frontier_count = frontier.num_rows
+    seed_raws = frozenset(frontier["url"].to_pylist())
+    # T2 state: the seed raws dispatched so far (_mark_revisits proof)
+    dispatched: set[str] = set()
+    epoch = scheduled_total = 0
     if resume and cfg.checkpoint_dir:
-        st = _resume_dataset_state(cfg.checkpoint_dir, seen, res, dl_acc,
-                                   pending_retry)
+        try:
+            st = _resume_dataset_state(cfg.checkpoint_dir, seen, res,
+                                       dl_acc, pending_retry, tables,
+                                       as_table)
+        except BaseException:
+            seen.kill()  # give the leased shard pool back
+            raise
         if st is not None:
             epoch = st["epoch"]
-            frontier_ds = st["frontier_ds"]
             frontier_count = st["frontier_count"]
             scheduled_total = st["scheduled_total"]
-            raws_claimed = st["raws_claimed"]
+            dispatched.update(st["raw_keys"])
+            frontier = st["frontier"]
+    seed_ref = None
+    if not as_table:
+        seed_ref = ray.put(pa.array(sorted(seed_raws), pa.string()))
+        if isinstance(frontier, pa.Table):
+            frontier = rd.from_arrow(frontier)
     start_epoch = epoch
+    fetch_epochs = {"driver": 0, "job": 0}
     timer.lap("setup")
     try:
         while frontier_count > 0 or pending_retry:
-            # max_epochs counts epochs run in THIS invocation (driver-loop
-            # parity: a resumed run asked for N epochs does N more)
+            # max_epochs counts epochs run in THIS invocation (a resumed
+            # run asked for N epochs does N more)
             if max_epochs is not None and epoch - start_epoch >= max_epochs:
                 break
-            deferred_ds = None
-            deferred_count = 0
-            fetched = None
-            if frontier_count > 0:
-                # one parquet-table/from_arrow frontier = ONE block = one
-                # serial fetch task (round-1 lesson): spread the epoch's
-                # rows so fetch parallelism matches the CPU budget
-                n_cpu = int(ray.cluster_resources().get("CPU", 8))
-                n_blocks = max(1, min(
-                    max(32, 2 * n_cpu),
-                    (frontier_count + cfg.extract_batch_size - 1)
-                    // cfg.extract_batch_size,
-                ))
-                sched_ds = frontier_ds.repartition(n_blocks)
-                if budgets_on:
-                    # hash(host) co-partition + ONE vectorized marking pass
-                    # per partition — never a Python call per host (a web
-                    # frontier has millions of hosts)
-                    n_part_pol = max(8, min(
-                        512, frontier_count // 25_000 + 2))
-                    marked = (
-                        sched_ds.map_batches(
-                            _stamp_host_part(n_part_pol),
-                            batch_format="pyarrow")
-                        .groupby("part")
-                        .map_groups(mark_budget, batch_format="pandas")
-                    ).materialize()
-                    sched_ds = marked.filter(expr="sched == True").map_batches(
-                        lambda t: _cast_frontier(t), batch_format="pyarrow"
-                    )
-                    deferred_ds = (
-                        marked.filter(expr="sched == False")
-                        .map_batches(
-                            lambda t: _cast_frontier(
-                                t.set_column(
-                                    t.schema.get_field_index("priority"),
-                                    "priority",
-                                    pa.array(
-                                        np.ones(t.num_rows, np.int32)
-                                    ),
-                                )
-                            ),
-                            batch_format="pyarrow",
-                        )
-                        .materialize()
-                    )
-                    deferred_count = deferred_ds.count()
-                if epoch == start_epoch == 0 and not budgets_on:
-                    # bulk-seed fast path: epoch 0's schedule is exactly
-                    # the (driver-deduped) seed list, nothing is deferred
-                    # and the raw set is empty — every row is its own
-                    # winner; skip the contest scan (at 240k seeds it cost
-                    # ~3 s of driver collect+sort for a trivial result)
-                    urls = sorted(set(seed_df["url"]))
-                    seen.check_and_add("raw", urls)
-                    raws_claimed = len(urls)
-                    winners = {u: (0, 0) for u in urls}
-                elif raws_claimed >= n_seed_urls:
-                    # every seed raw is already dispatched: the contest
-                    # would return {} (all seed-matching rows are
-                    # revisits) — skip the frontier scan entirely
-                    winners = {}
+            epoch_token = seen.epoch_token(epoch)
+            # the epoch's fetched rows: None in a retry-drain epoch, a
+            # table when the driver fetched them, else a Dataset
+            fetched = order_tbl = deferred = None
+            n_deferred = 0
+            in_driver = False
+            if frontier_count:
+                if as_table:
+                    sched, deferred, order_tbl = _schedule_table(
+                        frontier, epoch, cfg, host_budgets, dispatched,
+                        seed_raws)
+                    n_sched, n_deferred = sched.num_rows, deferred.num_rows
+                    if order_tbl is not None:
+                        tables["order"].append(order_tbl)
+                    in_driver = mode == "broadcast" and _in_driver(
+                        n_sched, DRIVER_FETCH_ROWS, corpus_ref)
+                    if not in_driver:
+                        sched, per = _table_dataset(
+                            sched, _job_blocks(n_sched,
+                                               cfg.extract_batch_size))
+                        # a batch no larger than a block splits it and
+                        # never bundles blocks: still one task per block
+                        batch_rows = min(per, cfg.extract_batch_size)
                 else:
-                    winners = _resolve_seed_revisits(sched_ds, seed_ref,
-                                                     seen)
-                    raws_claimed += len(winners)
-                winners_ref = ray.put(winners)
-                fetched = _fetch_dataset(
-                    sched_ds.map_batches(
-                        MarkRevisitsInTask(seed_ref, winners_ref),
-                        batch_format="pyarrow",
-                    ),
-                    frontier_count, cfg.extract_batch_size, mode, cfg,
-                    corpus_ref, pages_path, seen.handles(), robots_disallow,
-                    seen.epoch_token(epoch),
-                )
-                n_fetch_jobs += 1
+                    sched, n_sched, deferred, n_deferred = _schedule_dataset(
+                        frontier, frontier_count, epoch, cfg, host_budgets,
+                        dispatched, seed_raws, seed_ref)
+                    batch_rows = cfg.extract_batch_size
+                fetch_epochs["driver" if in_driver else "job"] += 1
+                if not in_driver:
+                    fetched = _fetch_dataset(
+                        sched, n_sched, batch_rows, mode, cfg, corpus_ref,
+                        pages_path, seen.handles(), robots_disallow,
+                        epoch_token,
+                    )
             timer.lap("schedule")
-            if fetched is not None:
+            if in_driver:
+                # less work than a job's fixed cost: the driver holds the
+                # same corpus index for its download lane
+                fetched = _DRIVER_FETCH_THREAD.submit(FetchAndExtract(
+                    cfg, corpus_ref, seen.handles(), robots_disallow,
+                    epoch_token), sched).result()
+            elif fetched is not None:
+                # materialize barriers the epoch: every fetch task has
+                # extracted AND submitted its candidate offers
+                # (fire-and-forget) before the fence below
                 fetched = fetched.materialize()
             timer.lap("fetch")
 
-            # counters (doc offers are fused into the fetch tasks, no doc
-            # rows pass the driver), then fence + drain refs
+            # counters (doc offers are fused into the fetch tasks):
+            # collected rows are counted in place, a Dataset by ONE tiny
+            # stats job
+            if collect and isinstance(fetched, rd.Dataset):
+                fetched = _collect(fetched)
             counts = _epoch_counts(fetched)
             res.pages_fetched += counts["ok_n"]
             scheduled_total += counts["n"]
             timer.lap("counts")
+
+            # fence both offer streams, then drain: norm drains run async
+            # while the download section below executes; the doc drain is
+            # tiny (accepted NEW doc urls only) and feeds it
             offers_expected += counts["offers"]
             doc_offers_expected += counts["doc_offers"]
             wait_offers_received(seen.handles(), "norm", offers_expected)
             wait_offers_received(seen.handles(), "doc", doc_offers_expected)
             drain_refs = [
-                sh.drain_epoch_table.remote("norm") for sh in seen.handles()
+                sh.drain_epoch.remote("norm") for sh in seen.handles()
             ]
             new_tasks = _doc_drain_to_tasks(seen.drain("doc"))
             timer.lap("fence")
 
-            # downloads (the SHARED deterministic lane — _download_lane)
+            # --- documents -> simulated download (dedup already happened
+            # in the shards' doc min-offer stream; retry lane first with
+            # priority, then new tasks — T8) ---
             dl_tbl, pending_retry, n_new_docs = _download_lane(
                 new_tasks, pending_retry, cfg, mode, corpus_ref,
                 pages_path, epoch,
@@ -1243,83 +985,133 @@ def _run_crawl_dataset_frontier(
             dl_acc.append(dl_tbl)
             timer.lap("downloads")
 
-            # next frontier: drain tables → Dataset, key split in tasks
-            surv_ds = rd.from_arrow_refs(drain_refs).map_batches(
-                _drained_to_frontier, batch_format="pyarrow"
-            ).materialize()
-            n_new = surv_ds.count()
-            if deferred_ds is not None and deferred_count:
-                frontier_ds = deferred_ds.union(surv_ds).materialize()
+            # next frontier: deferred rows first, then the accepted
+            # candidates, on the driver or as a Dataset whose rows never
+            # pass through it
+            if as_table:
+                survivors = _drained_to_frontier(
+                    _assemble_drain(ray.get(drain_refs)))
+                n_new = survivors.num_rows
+                frontier = pa.concat_tables([deferred, survivors]) \
+                    if n_deferred else survivors
+                tables["seen"].append(_seen_rows(survivors, epoch))
             else:
-                frontier_ds = surv_ds
-            frontier_count = n_new + deferred_count
+                survivors = rd.from_arrow_refs(drain_refs).map_batches(
+                    _drained_to_frontier, batch_format="pyarrow"
+                ).materialize()
+                n_new = survivors.count()
+                frontier = deferred.union(survivors).materialize() \
+                    if n_deferred else survivors
+            frontier_count = n_new + n_deferred
+            if as_table:
+                # the epoch's extracted rows for the checkpoint, and the
+                # result when collected
+                ext = fetched if fetched is not None else \
+                    FETCHED_SCHEMA.empty_table()
+                if collect:
+                    ext = ext.append_column("epoch", pa.array(
+                        np.full(ext.num_rows, epoch, np.int32)))
+                    tables["extracted"].append(ext)
             timer.lap("frontier")
 
             _push_epoch_metrics(
                 metrics, seen, epoch, counts["n"], counts["ok_n"],
                 n_new_docs, dl_tbl, len(pending_retry), frontier_count,
             )
-            # resumable outputs, written distributed (extracted and
-            # accepted rows never pass through the driver): one parquet
-            # directory per epoch, so a downstream consumer or a re-run
-            # can skip finished epoch partitions
-            if fetched is not None and extracted_sink:
-                fetched.write_parquet(
-                    os.path.join(extracted_sink, f"epoch={epoch}"))
-            if seen_sink is not None and n_new:
-                surv_ds.write_parquet(
-                    os.path.join(seen_sink, f"epoch={epoch}"))
+            # resumable outputs: one parquet directory per epoch, replaced
+            # when a resumed run re-runs the epoch
+            if extracted_sink:
+                _write_part(fetched,
+                            os.path.join(extracted_sink, f"epoch={epoch}"))
+            if seen_sink:
+                _write_part(survivors if n_new else None,
+                            os.path.join(seen_sink, f"epoch={epoch}"))
             if cfg.checkpoint_dir:
                 _ckpt_dataset_epoch(
                     cfg.checkpoint_dir, epoch,
-                    frontier_ds if frontier_count else None, dl_tbl,
+                    frontier if frontier_count else None, dl_tbl,
                     {
                         "pending_retry": [list(x) for x in pending_retry],
                         "scheduled_total": scheduled_total,
                         "pages_fetched": res.pages_fetched,
-                        "raw_keys": seen.keys("raw"),
+                        "raw_keys": sorted(dispatched),
                         "frontier_count": frontier_count,
                     },
+                    order=order_tbl, extracted=ext if as_table else None,
                 )
             timer.lap("write")
             epoch += 1
     finally:
         seen.kill()
 
+    # --- assemble result tables ---
+    if tables.get("extracted"):
+        ext_all = pa.concat_tables(tables["extracted"])
+        if "offers_sent" in ext_all.column_names:
+            ext_all = ext_all.drop_columns(["offers_sent"])  # fence-internal
+        res.extracted = ext_all.filter(
+            pa.compute.equal(ext_all["status"], 200))
+        res.fetch_log = ext_all.select(
+            ["url", "epoch", "depth", "status", "bytes", "ok"])
+    for name in ("order", "seen"):
+        if tables.get(name):
+            setattr(res, name, pa.concat_tables(tables[name]))
     res.downloads = pa.concat_tables(dl_acc) if dl_acc else None
     res.n_epochs = epoch
     res.counters = {
         "epochs": epoch,
         "pages_fetched": res.pages_fetched,
         "scheduled_total": scheduled_total,
-        "seen": None,  # stays sharded/distributed in this mode
+        # the Dataset form's seen set stays sharded and distributed
+        "seen": res.seen.num_rows if res.seen is not None else None,
         "phases": timer.phases,
-        "fetch_epochs": {"driver": 0, "job": n_fetch_jobs},
+        "fetch_epochs": fetch_epochs,
     }
     if metrics is not None:
         res.counters["metrics"] = ray.get(metrics.snapshot.remote())
     return res
 
 
-def _ckpt_dataset_epoch(ckpt_dir: str, epoch: int, frontier_ds,
-                        dl_tbl: pa.Table, meta: dict) -> None:
-    """Dataset-frontier checkpoint: the (possibly huge) next frontier is
-    written DISTRIBUTED as a parquet directory; only the downloads table,
-    the tiny seed-dispatch raw-key set and counters pass through the
-    driver. `_SUCCESS` is written last — an interrupted epoch is simply
-    re-run and its directory overwritten."""
+def _write_part(rows, path: str) -> None:
+    """Replace the parquet directory ``path`` with ``rows``: a driver-held
+    table is written by the driver, a Dataset by its own write job, and
+    None leaves no directory. A re-run epoch thus never appends a second
+    copy (``Dataset.write_parquet`` appends by default)."""
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    shutil.rmtree(path, ignore_errors=True)
+    if isinstance(rows, pa.Table):
+        os.makedirs(path)
+        pq.write_table(rows, os.path.join(path, "part-0.parquet"))
+    elif rows is not None:
+        rows.write_parquet(path)
+
+
+def _ckpt_dataset_epoch(ckpt_dir: str, epoch: int, frontier,
+                        dl_tbl: pa.Table, meta: dict,
+                        order: pa.Table | None = None,
+                        extracted=None) -> None:
+    """The epoch checkpoint of both frontier forms. The next frontier (and
+    the table form's extracted rows) go to parquet directories, written
+    distributed when they are Datasets; the downloads table, the rank
+    trace and ``meta.json`` (retry lane, counters, dispatched seed raws)
+    pass through the driver. ``_SUCCESS`` is written last — an
+    interrupted epoch is simply re-run and its directory replaced."""
     import json
     import shutil
 
     import pyarrow.parquet as pq
 
     d = ckpt.epoch_dir(ckpt_dir, epoch)
-    if os.path.exists(d):
-        shutil.rmtree(d)
-    os.makedirs(d, exist_ok=True)
-    if frontier_ds is not None:
-        frontier_ds.write_parquet(os.path.join(d, "frontier_next"))
+    shutil.rmtree(d, ignore_errors=True)
+    os.makedirs(d)
+    _write_part(frontier, os.path.join(d, "frontier_next"))
+    _write_part(extracted, os.path.join(d, "extracted"))
     pq.write_table(dl_tbl, os.path.join(d, "downloads.parquet"))
+    if order is not None:
+        pq.write_table(order, os.path.join(d, "order.parquet"))
     with open(os.path.join(d, "meta.json"), "w") as f:
         json.dump(meta, f)
     with open(os.path.join(d, "_SUCCESS"), "w") as f:
@@ -1347,15 +1139,23 @@ class _ReplayNorms:
 
 
 def _resume_dataset_state(ckpt_dir: str, seen, res, dl_acc: list,
-                          pending_retry: list) -> dict | None:
-    """Rebuild dataset-frontier state from the last `_SUCCESS` epoch:
-    norm set ← distributed replay of every prior frontier_next's
-    priority-0 (survivor) rows — seeds are never in the seen set and
-    deferred rows re-appear with priority 1, so the replay is exact;
-    doc set ← distinct urls of the per-epoch downloads tables;
-    raw set + retry lane + counters ← meta.json."""
+                          pending_retry: list, tables: dict | None = None,
+                          as_table: bool = True) -> dict | None:
+    """Rebuild crawl state from the last `_SUCCESS` epoch, whichever
+    frontier form wrote it: norm set ← one distributed replay of every
+    epoch's frontier_next priority-0 (survivor) rows — seeds are never in
+    the seen set and deferred rows re-appear with priority 1, so the
+    replay is exact; doc set ← distinct urls of the per-epoch downloads
+    tables and the retry lane; retry lane, counters and dispatched seed
+    raws ← meta.json; the next frontier in the form ``as_table`` names
+    (None when empty). ``tables`` (the table form's per-epoch lists) gets
+    the seen rows rebuilt from the same survivor rows, and the rank trace
+    and extracted rows it asks for; a checkpoint without them (one the
+    Dataset form wrote) raises rather than return a partial result."""
+    import glob
     import json
 
+    import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
     done = ckpt.complete_epochs(ckpt_dir)
@@ -1366,49 +1166,61 @@ def _resume_dataset_state(ckpt_dir: str, seen, res, dl_acc: list,
         meta = json.load(f)
     pending_retry.extend(tuple(x) for x in meta["pending_retry"])
     res.pages_fetched = meta["pages_fetched"]
+    tables = tables or {}
     doc_urls: set[str] = set()
+    frontier_files = []
     for k in done:
-        t = pq.read_table(
-            os.path.join(ckpt.epoch_dir(ckpt_dir, k), "downloads.parquet"))
+        d = ckpt.epoch_dir(ckpt_dir, k)
+        t = pq.read_table(os.path.join(d, "downloads.parquet"))
         dl_acc.append(t)
         doc_urls.update(t["url"].to_pylist())
-    doc_urls.update(u for u, _, _ in pending_retry)  # budget-deferred
-    # docs live only in the retry lane until attempted — see driver resume
+        fdir = os.path.join(d, "frontier_next")
+        if os.path.isdir(fdir):
+            frontier_files += sorted(glob.glob(f"{fdir}/*.parquet"))
+        if "seen" in tables:
+            f = (pq.read_table(fdir) if os.path.isdir(fdir)
+                 else FRONTIER_ARROW_SCHEMA.empty_table())
+            tables["seen"].append(_seen_rows(
+                _cast_frontier(f.filter(pc.equal(f["priority"], 0))), k))
+        for name, path in (("order", "order.parquet"),
+                           ("extracted", "extracted")):
+            if name not in tables:
+                continue
+            if not os.path.exists(os.path.join(d, path)):
+                raise ValueError(
+                    f"checkpoint epoch {k} holds no {name} rows (it was "
+                    "written without them): resume with record_order="
+                    "False and collect=False")
+            t = pq.read_table(os.path.join(d, path))
+            if name == "extracted" and "epoch" not in t.column_names:
+                t = t.append_column(
+                    "epoch", pa.array(np.full(t.num_rows, k, np.int32)))
+            tables[name].append(t)
+    # a doc deferred over the download budget was doc-seen-added in its
+    # discovery epoch but has no downloads row yet — the retry lane alone
+    # carries it, so re-add it or a later link double-queues it
+    doc_urls.update(u for u, _, _ in pending_retry)
     if doc_urls:
         seen.check_and_add("doc", sorted(doc_urls))
-    if meta["raw_keys"]:
-        seen.check_and_add("raw", meta["raw_keys"])
-    for k in done:
-        fdir = os.path.join(ckpt.epoch_dir(ckpt_dir, k), "frontier_next")
-        if not os.path.isdir(fdir):
-            continue
-        rd.read_parquet(fdir, columns=["url_norm", "priority"]).map_batches(
+    if frontier_files:
+        rd.read_parquet(frontier_files,
+                        columns=["url_norm", "priority"]).map_batches(
             _ReplayNorms(seen.handles(), seen.token), batch_format="pyarrow"
         ).count()
-    frontier_ds = None
-    if meta["frontier_count"]:
-        fdir = os.path.join(ckpt.epoch_dir(ckpt_dir, last), "frontier_next")
-        frontier_ds = rd.read_parquet(fdir).map_batches(
-            _cast_frontier, batch_format="pyarrow"
-        ).materialize()
+    fdir = os.path.join(ckpt.epoch_dir(ckpt_dir, last), "frontier_next")
+    frontier = None
+    if meta["frontier_count"] and as_table:
+        frontier = _cast_frontier(pq.read_table(fdir))
+    elif meta["frontier_count"]:
+        frontier = rd.read_parquet(fdir).map_batches(
+            _cast_frontier, batch_format="pyarrow").materialize()
     return {
         "epoch": last + 1,
-        "frontier_ds": frontier_ds,
+        "frontier": frontier,
         "frontier_count": meta["frontier_count"],
         "scheduled_total": meta["scheduled_total"],
-        "raws_claimed": len(meta["raw_keys"]),
+        "raw_keys": meta["raw_keys"],
     }
-
-
-def _drained_to_frontier(t: pa.Table) -> pa.Table:
-    """(url_norm, key) drain rows -> frontier rows (priority 0), using the
-    same pure-Arrow split as _accepted_to_table."""
-    out = _accepted_to_table(t)
-    if out is None:
-        return FRONTIER_ARROW_SCHEMA.empty_table()
-    return out.append_column(
-        "priority", pa.array(np.zeros(out.num_rows, np.int32))
-    )
 
 
 def _stat_counts(batch: pa.Table) -> pa.Table:
@@ -1469,8 +1281,8 @@ def _empty_downloads() -> pa.Table:
 def _download_lane(new_tasks, pending_retry, cfg, mode, corpus_ref,
                    pages_path, epoch):
     """T5 global budget → download → T8 retry requeue: the SHARED
-    deterministic lane for both frontier loops (one definition so driver
-    and dataset modes cannot drift; spec mirrored in oracle/crawl_sim.py).
+    deterministic lane of the crawl epoch (spec mirrored in
+    oracle/crawl_sim.py).
     T3 dedup + winner selection happened upstream in the seen shards' doc
     min-offer stream (``new_tasks`` comes from _doc_drain_to_tasks).
     Returns (dl_tbl, next_pending_retry, n_new)."""

@@ -1,15 +1,18 @@
 """Sharded URL-seen sets — the engine's central stateful stage.
 
-The reference's three dedup structures are mutex-guarded in-process maps:
-the normalized-URL seen map (T1, crawler/crawler_twotier.go:23-24,
-223-245), colly's raw-URL revisit storage (T2, crawler_twotier.go:200) and
-the downloaded∪pending document map (T3, downloader.go:41-44, 280-293).
-Here all three become ONE pool of ``SeenShard`` actors, hash-partitioned on
-the key (stable blake2b hash, not Python's salted ``hash``), each holding an
-exact set per key kind. Calls are atomic per shard (the actor mailbox
-serializes them), giving exactly-once accept semantics. ``map_batches``
-tasks route their keys to the shards with :func:`offer_min_batch` /
-:func:`check_and_add_batch`; the driver never funnels the key stream.
+The reference's dedup structures are mutex-guarded in-process maps: the
+normalized-URL seen map (T1, crawler/crawler_twotier.go:23-24, 223-245)
+and the downloaded∪pending document map (T3, downloader.go:41-44,
+280-293) become ONE pool of ``SeenShard`` actors, hash-partitioned on the
+key (stable blake2b hash, not Python's salted ``hash``), each holding an
+exact set per key kind (``norm``, ``doc``). colly's raw-URL revisit
+storage (T2, crawler_twotier.go:200) needs no shard: only a seed's raw URL
+can repeat, so the crawl keeps the dispatched seed raws in one driver-side
+set (pipelines/crawl._mark_revisits). Calls are atomic per shard (the
+actor mailbox serializes them), giving exactly-once accept semantics.
+``map_batches`` tasks route their keys to the shards with
+:func:`offer_min_batch` / :func:`check_and_add_batch`; the driver never
+funnels the key stream.
 
 Pool lifetime: shard actors live for the whole Ray session. ``ShardedSeen(n)``
 leases a free pool of ``n`` shards (spawning one only when none is free) and
@@ -21,8 +24,8 @@ call never enters the next call's sets. Shards ask ``num_cpus=0``: they
 never hold back CPU a fetch task waits for.
 
 Shard count: ``n <= 0`` means one shard per four cluster CPUs, at least one.
-Shards keep no snapshot: resume replays the per-epoch checkpoint deltas into
-the leased pool (pipelines/crawl.py).
+Shards keep no snapshot: resume replays the per-epoch checkpoint's accepted
+frontier rows and downloads into the leased pool (pipelines/crawl.py).
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import ray
 
 from ..state.bloom import stable_hash64
 
-KINDS = ("norm", "raw", "doc")
+KINDS = ("norm", "doc")
 
 
 def _call_of(token: str) -> str:
@@ -103,31 +106,20 @@ class SeenShard:
     def offers_received(self, kind: str) -> int:
         return self.received[kind]
 
-    def drain_epoch_table(self, kind: str) -> pa.Table:
-        """drain_epoch as one Arrow table: the dataset-frontier loop reads
-        these refs with ``from_arrow_refs``, so the rows never reach the
-        crawl loop's own process."""
-        norms, keys = self.drain_epoch(kind)
-        return pa.table({"url_norm": norms, "key": keys})
-
-    def drain_epoch(self, kind: str):
-        """Commit the epoch buffer into the seen set; return accepted
-        (norm, min_key) pairs as two Arrow arrays (zero-copy transfer).
-        Pairs are returned UNSORTED — the driver-side assemble sorts the
-        merged result anyway, so a per-shard sort would be pure waste."""
+    def drain_epoch(self, kind: str) -> pa.Table:
+        """Commit the epoch buffer into the seen set; return the accepted
+        (url_norm, key) pairs as one Arrow table (zero-copy transfer; the
+        Dataset frontier form reads these refs with ``from_arrow_refs``, so
+        its rows never reach the crawl loop's own process). Pairs are
+        UNSORTED — ``assemble_drain`` sorts the merged result anyway, so a
+        per-shard sort would be pure waste."""
         buf = self.epoch_buf.pop(kind, {})
         self.exact[kind].update(buf.keys())
-        return (pa.array(list(buf.keys()), pa.string()),
-                pa.array(list(buf.values()), pa.string()))
+        return pa.table({"url_norm": pa.array(list(buf.keys()), pa.string()),
+                         "key": pa.array(list(buf.values()), pa.string())})
 
     def size(self, kind: str) -> int:
         return len(self.exact[kind])
-
-    def dump_keys(self, kind: str) -> list[str]:
-        """Exact keys of ONE kind (dataset-mode checkpoint uses this for
-        the tiny 'raw' seed-dispatch set only; norm/doc state is rebuilt
-        from the per-epoch parquet instead of being dumped)."""
-        return list(self.exact[kind])
 
 
 # Free shard pools of this process: (session, n_shards) -> [(handles, token)].
@@ -176,10 +168,6 @@ class ShardedSeen:
     def total(self, kind: str) -> int:
         return sum(ray.get([s.size.remote(kind) for s in self.shards]))
 
-    def keys(self, kind: str) -> list[str]:
-        parts = ray.get([s.dump_keys.remote(kind) for s in self.shards])
-        return sorted(k for part in parts for k in part)
-
     def drain(self, kind: str):
         """Merged accepted (norm, key) pairs from all shards, norm-sorted,
         as a pyarrow Table."""
@@ -208,16 +196,10 @@ class ShardedSeen:
             _FREE.setdefault(self._key, []).append((shards, token))
 
 
-def assemble_drain(parts):
-    """Merge per-shard (norms, keys) arrow arrays into one norm-sorted table."""
-    norms = pa.concat_arrays([p[0] for p in parts])
-    keys = pa.concat_arrays([p[1] for p in parts])
-    if len(norms) == 0:
-        return pa.table({"url_norm": norms, "key": keys})
-    idx = pc.sort_indices(norms)
-    return pa.table(
-        {"url_norm": pc.take(norms, idx), "key": pc.take(keys, idx)}
-    )
+def assemble_drain(parts: list[pa.Table]) -> pa.Table:
+    """Merge per-shard drain tables into one norm-sorted table."""
+    t = pa.concat_tables(parts)
+    return t.take(pc.sort_indices(t["url_norm"])) if t.num_rows else t
 
 
 def _split(n_shards: int, keys: list, *cols) -> dict[int, tuple]:

@@ -327,6 +327,102 @@ def test_dataset_frontier_checkpoint_resume(tiny_corpus_dir, tmp_path):
     assert tail == straight_tail
 
 
+def _sink_rows(sink: str, cols: list[str]) -> list[tuple]:
+    """Every row of a per-epoch sink, with its epoch, sorted."""
+    t = pq.read_table(sink)
+    return sorted(zip(*(t[c].to_pylist() for c in cols + ["epoch"])))
+
+
+SEEN_COLS = ["url", "url_norm", "host", "depth", "priority"]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_both_forms_write_the_seen_sink(tiny_corpus_dir, tmp_path):
+    """Both frontier forms write each epoch's accepted frontier rows to
+    seen_sink; the two sinks are equal, and equal the oracle's seen set
+    (regression: the table form ignored seen_sink)."""
+    cfg = CrawlConfig(record_order=False)
+    o = crawl_sim.crawl(load_corpus_dict(tiny_corpus_dir),
+                        _seeds(tiny_corpus_dir), cfg)
+    sinks = {}
+    for form in ("driver", "dataset"):
+        sinks[form] = str(tmp_path / form)
+        run_crawl(tiny_corpus_dir,
+                  CrawlConfig(record_order=False, frontier_mode=form),
+                  collect=False, seen_sink=sinks[form])
+    assert (_sink_rows(sinks["driver"], SEEN_COLS)
+            == _sink_rows(sinks["dataset"], SEEN_COLS))
+    o_seen = {(k, v[0], v[1]) for k, v in o.seen.items()}
+    assert _read_seen_sink(sinks["driver"]) == o_seen
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("form", ["driver", "dataset"])
+def test_rerun_epoch_replaces_its_sink_partitions(tiny_corpus_dir, tmp_path,
+                                                  form):
+    """A crawl that stops after an epoch's sink writes but before its
+    _SUCCESS re-runs that epoch on resume: the epoch's sink partitions
+    are replaced, never appended to, so the sinks equal a straight run's
+    (regression: write_parquet appended a second copy)."""
+    ext_cols = ["url", "status", "depth"]
+    kw = dict(collect=False)
+    cfg = CrawlConfig(record_order=False, frontier_mode=form)
+    s0, e0 = str(tmp_path / "seen0"), str(tmp_path / "ext0")
+    run_crawl(tiny_corpus_dir, cfg, seen_sink=s0, extracted_sink=e0, **kw)
+
+    ck, s, e = (str(tmp_path / n) for n in ("ck", "seen", "ext"))
+    ckcfg = CrawlConfig(record_order=False, frontier_mode=form,
+                        checkpoint_dir=ck)
+    run_crawl(tiny_corpus_dir, ckcfg, max_epochs=2, seen_sink=s,
+              extracted_sink=e, **kw)
+    os.remove(os.path.join(ck, "epoch=1", "_SUCCESS"))
+    run_crawl(tiny_corpus_dir, ckcfg, resume=True, seen_sink=s,
+              extracted_sink=e, **kw)
+    assert _sink_rows(s, SEEN_COLS) == _sink_rows(s0, SEEN_COLS)
+    assert _sink_rows(e, ext_cols) == _sink_rows(e0, ext_cols)
+    norms = pq.read_table(s)["url_norm"].to_pylist()
+    assert len(norms) == len(set(norms))
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("first,then", [("driver", "dataset"),
+                                        ("dataset", "driver")])
+def test_resume_across_frontier_forms(tiny_corpus_dir, tmp_path, first,
+                                      then):
+    """Both frontier forms write one checkpoint layout: a crawl stopped
+    after 2 epochs in one form and resumed in the other equals a straight
+    run — counters, downloads and the seen sink. A collect=True resume of
+    a checkpoint without extracted rows raises."""
+    straight_sink, sink = str(tmp_path / "seen0"), str(tmp_path / "seen")
+    ck = str(tmp_path / "ck")
+    straight = run_crawl(
+        tiny_corpus_dir, CrawlConfig(record_order=False, frontier_mode=then),
+        collect=False, seen_sink=straight_sink)
+    run_crawl(tiny_corpus_dir,
+              CrawlConfig(record_order=False, frontier_mode=first,
+                          checkpoint_dir=ck),
+              collect=False, max_epochs=2, seen_sink=sink)
+    if first == "dataset":
+        # no extracted rows in the checkpoint: collect=True cannot resume
+        with pytest.raises(ValueError, match="no extracted rows"):
+            run_crawl(tiny_corpus_dir,
+                      CrawlConfig(record_order=False, checkpoint_dir=ck),
+                      resume=True)
+    resumed = run_crawl(
+        tiny_corpus_dir,
+        CrawlConfig(record_order=False, frontier_mode=then,
+                    checkpoint_dir=ck),
+        collect=False, resume=True, seen_sink=sink)
+    assert straight.n_epochs > 2
+    assert resumed.n_epochs == straight.n_epochs
+    assert resumed.pages_fetched == straight.pages_fetched
+    assert (resumed.counters["scheduled_total"]
+            == straight.counters["scheduled_total"])
+    by = [("url", "ascending"), ("attempt", "ascending")]
+    assert resumed.downloads.sort_by(by).equals(straight.downloads.sort_by(by))
+    assert _sink_rows(sink, SEEN_COLS) == _sink_rows(straight_sink, SEEN_COLS)
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_dataset_resume_with_download_budget(tiny_corpus_dir, tmp_path):
     """A doc deferred over the download budget lives only in the retry

@@ -77,7 +77,7 @@ def _actor_ids(seen) -> list[str]:
 @pytest.mark.usefixtures("ray_session")
 def test_seen_shard_check_and_add_and_reset():
     """check_and_add answers first-sight per key (in-call repeats too),
-    keys() lists the set, and a pool given back by kill() comes back to
+    total() counts the set, and a pool given back by kill() comes back to
     the next lease empty."""
     from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.stages.seen import (
         ShardedSeen,
@@ -85,19 +85,19 @@ def test_seen_shard_check_and_add_and_reset():
 
     seen = ShardedSeen(4)
     try:
-        m1 = seen.check_and_add("raw", ["u1", "u2", "u1"])
+        m1 = seen.check_and_add("doc", ["u1", "u2", "u1"])
         assert m1.tolist() == [True, True, False]
-        m2 = seen.check_and_add("raw", ["u2", "u3"])
+        m2 = seen.check_and_add("doc", ["u2", "u3"])
         assert m2.tolist() == [False, True]
-        assert seen.keys("raw") == ["u1", "u2", "u3"]
+        assert seen.total("doc") == 3
         ids = _actor_ids(seen)
     finally:
         seen.kill()
     again = ShardedSeen(4)
     try:
         assert _actor_ids(again) == ids  # the same actors, reused
-        assert again.total("raw") == 0
-        assert again.check_and_add("raw", ["u1"]).tolist() == [True]
+        assert again.total("doc") == 0
+        assert again.check_and_add("doc", ["u1"]).tolist() == [True]
     finally:
         again.kill()
 
@@ -124,13 +124,13 @@ def test_stale_token_offer_is_neither_buffered_nor_counted():
         h = seen.handles()
         # one shard, one caller: the stale calls are processed first
         offer_min_batch(h, "norm", ["old1", "old2"], ["0|a", "0|b"], stale)
-        assert check_and_add_batch(h, "raw", ["r"], stale).tolist() == [False]
+        assert check_and_add_batch(h, "doc", ["r"], stale).tolist() == [False]
         offer_min_batch(h, "norm", ["new"], ["0|c"], seen.epoch_token(0))
         assert wait_offers_received(h, "norm", 1, timeout=5.0) == 1
         drained = seen.drain("norm")
         assert drained["url_norm"].to_pylist() == ["new"]
-        assert seen.total("raw") == 0
-        assert seen.check_and_add("raw", ["r"]).tolist() == [True]
+        assert seen.total("doc") == 0
+        assert seen.check_and_add("doc", ["r"]).tolist() == [True]
     finally:
         seen.kill()
 
@@ -237,19 +237,25 @@ def test_seen_pool_after_session_restart(run_in_child):
 
 def test_checkpoint_atomicity(tmp_path):
     import pyarrow as pa
+    import pyarrow.parquet as pq
 
+    from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.pipelines.crawl import (  # noqa: E501
+        _ckpt_dataset_epoch,
+        _empty_downloads,
+    )
     from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.state import (
         checkpoint as ckpt,
     )
 
     d = str(tmp_path)
     t = pa.table({"a": [1, 2]})
-    ckpt.write_epoch(d, 0, {"frontier_next": t}, meta={"epoch": 0})
-    ckpt.write_epoch(d, 1, {"frontier_next": t}, meta={"epoch": 1})
+    _ckpt_dataset_epoch(d, 0, t, _empty_downloads(), meta={"epoch": 0})
+    _ckpt_dataset_epoch(d, 1, t, _empty_downloads(), meta={"epoch": 1})
     # an epoch dir without _SUCCESS is invisible
     os.makedirs(f"{d}/epoch=2", exist_ok=True)
     assert ckpt.complete_epochs(d) == [0, 1]
-    assert ckpt.read_epoch_table(d, 1, "frontier_next").num_rows == 2
+    assert pq.read_table(
+        os.path.join(ckpt.epoch_dir(d, 1), "frontier_next")).num_rows == 2
 
 
 @pytest.mark.usefixtures("ray_session")
