@@ -608,6 +608,19 @@ def _seen_rows(survivors: pa.Table, epoch: int) -> pa.Table:
     })
 
 
+def _rank_trace(scheduled: pd.DataFrame, epoch: int) -> pa.Table:
+    """An epoch's scheduled rows in rank order as ``CrawlRunResult.order``
+    rows."""
+    return pa.table({
+        "epoch": pa.array(np.full(len(scheduled), epoch, np.int32)),
+        "rank": pa.array(range(len(scheduled)), pa.int64()),
+        "url": pa.array(scheduled["url"], pa.string()),
+        "host": pa.array(scheduled["host"], pa.string()),
+        "depth": pa.array(scheduled["depth"], pa.int32()),
+        "priority": pa.array(scheduled["priority"], pa.int32()),
+    })
+
+
 def _schedule_table(frontier: pa.Table, epoch: int, cfg: CrawlConfig,
                     host_budgets: dict, dispatched: set, seed_raws):
     """Table-form scheduling on the driver: sort + per-host budget in
@@ -622,16 +635,7 @@ def _schedule_table(frontier: pa.Table, epoch: int, cfg: CrawlConfig,
         # trace off + unlimited budgets: scheduling is the identity (no
         # deterministic rank needed) — skip the big sort
         scheduled, deferred = df, df.iloc[:0]
-    order_tbl = None
-    if cfg.record_order:
-        order_tbl = pa.table({
-            "epoch": pa.array(np.full(len(scheduled), epoch, np.int32)),
-            "rank": pa.array(range(len(scheduled)), pa.int64()),
-            "url": pa.array(scheduled["url"], pa.string()),
-            "host": pa.array(scheduled["host"], pa.string()),
-            "depth": pa.array(scheduled["depth"], pa.int32()),
-            "priority": pa.array(scheduled["priority"], pa.int32()),
-        })
+    order_tbl = _rank_trace(scheduled, epoch) if cfg.record_order else None
     scheduled = _mark_revisits(scheduled, dispatched)
     dispatched.update(set(scheduled["url"]) & seed_raws)
     return (
@@ -807,11 +811,11 @@ def run_crawl(
     code path, so either form resumes the other's checkpoint.
 
     ``collect=False`` keeps page-scale outputs distributed: extracted rows
-    go to ``extracted_sink`` (and, in the table form, the checkpoint), one
-    parquet directory per epoch, or are just counted. ``seen_sink`` gets
-    each epoch's accepted frontier rows. Broadcast mode puts the corpus
-    in the object store once per Ray session and corpus stamp
-    (``_corpus_broadcast``), so back-to-back crawls share it."""
+    go to ``extracted_sink``, one parquet directory per epoch, or are just
+    counted. ``seen_sink`` gets each epoch's accepted frontier rows.
+    Broadcast mode puts the corpus in the object store once per Ray
+    session and corpus stamp (``_corpus_broadcast``), so back-to-back
+    crawls share it."""
     import pyarrow.parquet as pq
 
     timer = _PhaseTimer()
@@ -915,8 +919,6 @@ def run_crawl(
                         frontier, epoch, cfg, host_budgets, dispatched,
                         seed_raws)
                     n_sched, n_deferred = sched.num_rows, deferred.num_rows
-                    if order_tbl is not None:
-                        tables["order"].append(order_tbl)
                     in_driver = mode == "broadcast" and _in_driver(
                         n_sched, DRIVER_FETCH_ROWS, corpus_ref)
                     if not in_driver:
@@ -938,6 +940,13 @@ def run_crawl(
                         pages_path, seen.handles(), robots_disallow,
                         epoch_token,
                     )
+            if cfg.record_order:
+                if order_tbl is None:
+                    # a retry-drain epoch ranks nothing: its checkpoint
+                    # still holds a trace, an empty one
+                    order_tbl = _rank_trace(
+                        FRONTIER_ARROW_SCHEMA.empty_table().to_pandas(), epoch)
+                tables["order"].append(order_tbl)
             timer.lap("schedule")
             if in_driver:
                 # less work than a job's fixed cost: the driver holds the
@@ -1003,15 +1012,14 @@ def run_crawl(
                 frontier = deferred.union(survivors).materialize() \
                     if n_deferred else survivors
             frontier_count = n_new + n_deferred
-            if as_table:
-                # the epoch's extracted rows for the checkpoint, and the
-                # result when collected
+            if collect:
+                # the epoch's extracted rows for the result and the
+                # checkpoint (a collect=True resume reads them back)
                 ext = fetched if fetched is not None else \
                     FETCHED_SCHEMA.empty_table()
-                if collect:
-                    ext = ext.append_column("epoch", pa.array(
-                        np.full(ext.num_rows, epoch, np.int32)))
-                    tables["extracted"].append(ext)
+                ext = ext.append_column("epoch", pa.array(
+                    np.full(ext.num_rows, epoch, np.int32)))
+                tables["extracted"].append(ext)
             timer.lap("frontier")
 
             _push_epoch_metrics(
@@ -1037,7 +1045,7 @@ def run_crawl(
                         "raw_keys": sorted(dispatched),
                         "frontier_count": frontier_count,
                     },
-                    order=order_tbl, extracted=ext if as_table else None,
+                    order=order_tbl, extracted=ext if collect else None,
                 )
             timer.lap("write")
             epoch += 1
@@ -1094,7 +1102,7 @@ def _ckpt_dataset_epoch(ckpt_dir: str, epoch: int, frontier,
                         order: pa.Table | None = None,
                         extracted=None) -> None:
     """The epoch checkpoint of both frontier forms. The next frontier (and
-    the table form's extracted rows) go to parquet directories, written
+    a collect=True run's extracted rows) go to parquet directories, written
     distributed when they are Datasets; the downloads table, the rank
     trace and ``meta.json`` (retry lane, counters, dispatched seed raws)
     pass through the driver. ``_SUCCESS`` is written last — an
@@ -1139,8 +1147,8 @@ class _ReplayNorms:
 
 
 def _resume_dataset_state(ckpt_dir: str, seen, res, dl_acc: list,
-                          pending_retry: list, tables: dict | None = None,
-                          as_table: bool = True) -> dict | None:
+                          pending_retry: list, tables: dict,
+                          as_table: bool) -> dict | None:
     """Rebuild crawl state from the last `_SUCCESS` epoch, whichever
     frontier form wrote it: norm set ← one distributed replay of every
     epoch's frontier_next priority-0 (survivor) rows — seeds are never in
@@ -1150,8 +1158,9 @@ def _resume_dataset_state(ckpt_dir: str, seen, res, dl_acc: list,
     raws ← meta.json; the next frontier in the form ``as_table`` names
     (None when empty). ``tables`` (the table form's per-epoch lists) gets
     the seen rows rebuilt from the same survivor rows, and the rank trace
-    and extracted rows it asks for; a checkpoint without them (one the
-    Dataset form wrote) raises rather than return a partial result."""
+    and extracted rows it asks for; a checkpoint without them (written
+    with record_order or collect off) raises rather than return a partial
+    result."""
     import glob
     import json
 
@@ -1166,7 +1175,6 @@ def _resume_dataset_state(ckpt_dir: str, seen, res, dl_acc: list,
         meta = json.load(f)
     pending_retry.extend(tuple(x) for x in meta["pending_retry"])
     res.pages_fetched = meta["pages_fetched"]
-    tables = tables or {}
     doc_urls: set[str] = set()
     frontier_files = []
     for k in done:
@@ -1191,11 +1199,7 @@ def _resume_dataset_state(ckpt_dir: str, seen, res, dl_acc: list,
                     f"checkpoint epoch {k} holds no {name} rows (it was "
                     "written without them): resume with record_order="
                     "False and collect=False")
-            t = pq.read_table(os.path.join(d, path))
-            if name == "extracted" and "epoch" not in t.column_names:
-                t = t.append_column(
-                    "epoch", pa.array(np.full(t.num_rows, k, np.int32)))
-            tables[name].append(t)
+            tables[name].append(pq.read_table(os.path.join(d, path)))
     # a doc deferred over the download budget was doc-seen-added in its
     # discovery epoch but has no downloads row yet — the retry lane alone
     # carries it, so re-add it or a later link double-queues it

@@ -9,8 +9,8 @@ layout per epoch (pipelines/crawl._ckpt_dataset_epoch)
     <ckpt>/epoch=K/frontier_next/      next frontier, parquet directory
     <ckpt>/epoch=K/downloads.parquet   the epoch's download attempts
     <ckpt>/epoch=K/meta.json           retry lane, counters, seed raws sent
-    <ckpt>/epoch=K/order.parquet       rank trace (table form, when recorded)
-    <ckpt>/epoch=K/extracted/          fetched rows (table form)
+    <ckpt>/epoch=K/order.parquet       rank trace (when recorded)
+    <ckpt>/epoch=K/extracted/          fetched rows (when collected)
     <ckpt>/epoch=K/_SUCCESS            written LAST — the epoch is atomic
 
 Resume (pipelines/crawl._resume_dataset_state) = find the last epoch with

@@ -402,12 +402,11 @@ def test_resume_across_frontier_forms(tiny_corpus_dir, tmp_path, first,
               CrawlConfig(record_order=False, frontier_mode=first,
                           checkpoint_dir=ck),
               collect=False, max_epochs=2, seen_sink=sink)
-    if first == "dataset":
-        # no extracted rows in the checkpoint: collect=True cannot resume
-        with pytest.raises(ValueError, match="no extracted rows"):
-            run_crawl(tiny_corpus_dir,
-                      CrawlConfig(record_order=False, checkpoint_dir=ck),
-                      resume=True)
+    # no extracted rows in the checkpoint: collect=True cannot resume
+    with pytest.raises(ValueError, match="no extracted rows"):
+        run_crawl(tiny_corpus_dir,
+                  CrawlConfig(record_order=False, checkpoint_dir=ck),
+                  resume=True)
     resumed = run_crawl(
         tiny_corpus_dir,
         CrawlConfig(record_order=False, frontier_mode=then,
@@ -486,7 +485,7 @@ def test_resume_readds_budget_deferred_docs_to_doc_set(tmp_path):
     try:
         pending = []
         st = _resume_dataset_state(str(ck), seen, CrawlRunResult(), [],
-                                   pending)
+                                   pending, {}, False)
         assert st is not None and pending
         fresh = seen.check_and_add("doc", ["http://h.test/deferred.pdf"])
         assert not fresh[0], "deferred doc must already be doc-seen"
@@ -640,13 +639,26 @@ def test_checkpoint_resume_from_fetch_jobs(tiny_corpus_dir, tmp_path,
     assert resumed.counters["fetch_epochs"]["driver"] == 0
 
 
-def _check_resume_matches_straight_run(tiny_corpus_dir, tmp_path):
-    ck = str(tmp_path / "ckpt")
-    cfg = CrawlConfig(checkpoint_dir=ck)
-    full = run_crawl(tiny_corpus_dir, CrawlConfig())
+@pytest.mark.usefixtures("ray_session")
+def test_checkpoint_resume_after_retry_drain_epoch(tiny_corpus_dir, tmp_path):
+    """The same resume when the checkpoint's last epoch only drains the
+    download lane: the frontier is empty, so the epoch ranks nothing, yet
+    its checkpoint holds an (empty) rank trace like every other epoch."""
+    un = run_crawl(tiny_corpus_dir, CrawlConfig(record_order=False),
+                   collect=False)
+    _check_resume_matches_straight_run(
+        tiny_corpus_dir, tmp_path, stop=un.n_epochs + 1,
+        download_budget_per_epoch=3)
 
-    partial = run_crawl(tiny_corpus_dir, cfg, max_epochs=2)
-    assert partial.n_epochs == 2
+
+def _check_resume_matches_straight_run(tiny_corpus_dir, tmp_path, stop=2,
+                                       **cfg_kw):
+    ck = str(tmp_path / "ckpt")
+    cfg = CrawlConfig(checkpoint_dir=ck, **cfg_kw)
+    full = run_crawl(tiny_corpus_dir, CrawlConfig(**cfg_kw))
+
+    partial = run_crawl(tiny_corpus_dir, cfg, max_epochs=stop)
+    assert partial.n_epochs == stop < full.n_epochs
     resumed = run_crawl(tiny_corpus_dir, cfg, resume=True)
     assert resumed.n_epochs == full.n_epochs
 

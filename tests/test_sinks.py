@@ -90,9 +90,10 @@ def test_collect_false_distributed_sink_from_fetch_jobs(tiny2_dir, tmp_path,
 
 def _check_distributed_sink(tiny2_dir, tmp_path):
     ck = str(tmp_path / "ck")
+    sink = str(tmp_path / "extracted")
     cfg = CrawlConfig(checkpoint_dir=ck)
     full = run_crawl(tiny2_dir, CrawlConfig())
-    res = run_crawl(tiny2_dir, cfg, collect=False)
+    res = run_crawl(tiny2_dir, cfg, collect=False, extracted_sink=sink)
     assert res.extracted is None
     assert res.pages_fetched == full.pages_fetched
     # seen/order/downloads identical to the collect=True run
@@ -100,8 +101,8 @@ def _check_distributed_sink(tiny2_dir, tmp_path):
     assert res.order.to_pydict() == full.order.to_pydict()
     # extracted rows are on disk, distributed
     n_rows = 0
-    for d in sorted(os.listdir(ck)):
-        ext_dir = os.path.join(ck, d, "extracted")
+    for d in sorted(os.listdir(sink)):
+        ext_dir = os.path.join(sink, d)
         if os.path.isdir(ext_dir):
             n_rows += pq.read_table(ext_dir).num_rows
     full_all = full.fetch_log.num_rows
