@@ -302,7 +302,7 @@ def section_queries() -> dict:
                     columns=["l_orderkey"]).map_batches(
         lambda t: t, batch_format="pyarrow").count()
 
-    queries: dict[str, float] = {}
+    raw: dict[str, list[float]] = {}  # name -> trials; the row is the min
     for name, fn in [
         ("q1_pricing_summary", relational.q1_pricing_summary),
         ("q3_top_orders", relational.q3_top_orders),
@@ -348,7 +348,7 @@ def section_queries() -> dict:
             graph._GRAPH_CACHE.clear()
             t0 = time.perf_counter()
             fn(SF_DIR)
-            queries["link_graph_derive"] = round(time.perf_counter() - t0, 3)
+            raw["link_graph_derive"] = [round(time.perf_counter() - t0, 3)]
         trials = []
         for _ in range(2):
             if name == "link_pagerank":
@@ -358,7 +358,7 @@ def section_queries() -> dict:
             t0 = time.perf_counter()
             fn(SF_DIR)
             trials.append(round(time.perf_counter() - t0, 3))
-        queries[name] = min(trials)
+        raw[name] = trials
 
     # 100 TB-path evidence (VERDICT r4 #7): the size-adaptive ops pick the
     # driver tail at sf0.1 — force the DISTRIBUTED twin so the at-scale
@@ -378,7 +378,7 @@ def section_queries() -> dict:
             t0 = time.perf_counter()
             fn(SF_DIR)
             trials.append(round(time.perf_counter() - t0, 3))
-        queries[name] = min(trials)
+        raw[name] = trials
 
     # training-mix sink end-to-end (VERDICT r3 #9): decisions + doc_id
     # join + lang-partitioned parquet out — the 100 TB consumer path.
@@ -399,9 +399,10 @@ def section_queries() -> dict:
             for r, _dirs, fs in os.walk(out_dir) for f in fs
         )
         shutil.rmtree(out_dir, ignore_errors=True)
-    queries["write_curated"] = min(wc_trials)
+    raw["write_curated"] = wc_trials
 
-    out = {"queries": queries, "write_curated_bytes": wc_bytes}
+    out = {"queries": {k: min(v) for k, v in raw.items()},
+           "query_trials": raw, "write_curated_bytes": wc_bytes}
     ray.shutdown()
     return out
 

@@ -16,7 +16,8 @@ A materialized Dataset whose every block is empty has lost its schema
 the same way, so a join fed one crashes as well.
 
 Fixes here:
-- ``read_parquet_bounded``: never create more read blocks than rows.
+- ``read_parquet_bounded``: the one read-block rule (≤ one block per CPU,
+  ≥ ``READ_MIN_BLOCK_ROWS`` rows per block, so never more blocks than rows).
 - ``heal_blocks``: materialize + repartition — repartition CONCATENATES
   blocks, and a concat of typed + schema-less empties keeps the typed
   schema, so the output has only non-empty typed blocks. Apply on any
@@ -33,12 +34,16 @@ import ray.data as rd
 from ray.data.dataset import MaterializedDataset
 
 
-def read_parquet_bounded(path: str, columns=None, factor: int = 3,
-                         cap: int = 200) -> rd.Dataset:
-    """``read_parquet`` with ``override_num_blocks`` bounded by the file's
-    ROW COUNT (metadata-only). Also keeps a one-file read from fusing
-    serially with downstream stages (the round-1 lesson
-    sources/pages.read_pages guards against)."""
+READ_MIN_BLOCK_ROWS = 256  # swept: BASELINE.md "Read blocks"
+
+
+def read_parquet_bounded(path: str, columns=None) -> rd.Dataset:
+    """``read_parquet`` (file or directory) in ``max(1, min(CPUs,
+    ceil(rows / READ_MIN_BLOCK_ROWS)))`` blocks, rows from parquet
+    metadata. A block per CPU keeps a one-file read from fusing serially
+    with its maps; the floor spares a small table a task per CPU in every
+    later map and shuffle (12 blocks of 25 docs cost the dedup/text set 2×
+    one block)."""
     import pyarrow.dataset as pads
 
     n_rows = pads.dataset(path).count_rows()
@@ -46,11 +51,9 @@ def read_parquet_bounded(path: str, columns=None, factor: int = 3,
         cpus = int(ray.cluster_resources().get("CPU", 8))
     except Exception:
         cpus = 8
-    target = max(8, min(cap, factor * cpus))
-    return rd.read_parquet(
-        path, columns=columns,
-        override_num_blocks=max(1, min(target, n_rows or 1)),
-    )
+    blocks = -(-n_rows // READ_MIN_BLOCK_ROWS)
+    return rd.read_parquet(path, columns=columns,
+                           override_num_blocks=max(1, min(cpus, blocks)))
 
 
 def n_parts(n_rows: int, floor: int = 4) -> int:

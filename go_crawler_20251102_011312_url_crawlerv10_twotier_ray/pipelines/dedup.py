@@ -603,11 +603,6 @@ _EMB_PLANES = 12  # hyperplanes per band: recall ≈ 0.98 at cos ≥ 0.95
 _EMPTY_EMB = {"vec_a": "int64", "vec_b": "int64", "cos_pct": "int64"}
 
 
-def _emb_ds(sf_dir: str) -> rd.Dataset:
-    return rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                           columns=["vec_id", "embedding"])
-
-
 def _norm_rows(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
     from .ann import _emb_rows
 
@@ -639,9 +634,11 @@ def dedup_embedding_cosine(
     ``driver`` below MINHASH_SMALL_LIMIT bucket rows, ``distributed``
     above (equality-tested against each other).
     """
+    from .ann import _emb
+
     if method == "auto":
         method = "lsh" if threshold >= 0.9 else "exact"
-    ds = _emb_ds(sf_dir)
+    ds = _emb(sf_dir)
     if method == "exact":
         return _emb_cosine_exact(ds, threshold)
     return _emb_cosine_lsh(ds, threshold, mode=mode)
@@ -951,6 +948,8 @@ def _winnow_pairs_ds(
 # ---------------------------------------------------------------------------
 
 def _md5_rows(t: pa.Table) -> pa.Table:
+    from .text import _token_count_batch  # token_counts' n_tokens rule
+
     return pa.table(
         {
             "doc_id": t["doc_id"],
@@ -959,8 +958,37 @@ def _md5_rows(t: pa.Table) -> pa.Table:
                  for x in t["text"].to_pylist()],
                 pa.string(),
             ),
+            "n_tokens": _token_count_batch(t)["n_tokens"],
         }
     )
+
+
+def _cluster_labels(sf_dir: str, max_fp_freq: int, min_shared: int,
+                    mode: str) -> pd.DataFrame | None:
+    """(doc_id, cluster_id, n_tokens) per document, or None for an empty
+    corpus — dedup_clusters' components, from two documents reads."""
+    from ._schema import heal_blocks
+    from .graph import _components_driver
+
+    # heal: empty read splits produce schema-less blocks; None means an
+    # empty corpus (pipelines/_schema.py)
+    hashes = heal_blocks(_docs(sf_dir, ["doc_id", "text"])
+                         .map_batches(_md5_rows, batch_format="pyarrow"))
+    if hashes is None:
+        return None
+    hdf = hashes.to_pandas()
+    pairs = dedup_winnow_pairs(sf_dir, max_fp_freq, min_shared, mode=mode)
+    root_of_h = hdf.groupby("h")["doc_id"].transform("min")
+    star = hdf[root_of_h < hdf["doc_id"]]
+    edges = list(zip(star["doc_id"].tolist(),
+                     root_of_h[star.index].tolist())) + list(
+        zip(pairs["doc_a"].tolist(), pairs["doc_b"].tolist())
+    )
+    return pd.DataFrame({
+        "doc_id": hdf["doc_id"],
+        "cluster_id": _components_driver(hdf["doc_id"].tolist(), edges),
+        "n_tokens": hdf["n_tokens"],
+    })
 
 
 def dedup_clusters(
@@ -982,27 +1010,11 @@ def dedup_clusters(
     (graph._components_driver): the result is one row per document, so it
     is driver-resident anyway.
     """
-    from ._schema import heal_blocks
-    from .graph import _components_driver
-
     cols = {"doc_id": "int64", "cluster_id": "int64",
             "cluster_size": "int64", "keep": "bool"}
-    # heal: empty read splits produce schema-less blocks; None means an
-    # empty corpus (pipelines/_schema.py)
-    hashes = heal_blocks(_docs(sf_dir, ["doc_id", "text"])
-                         .map_batches(_md5_rows, batch_format="pyarrow"))
-    if hashes is None:
+    df = _cluster_labels(sf_dir, max_fp_freq, min_shared, mode)
+    if df is None:
         return pd.DataFrame({c: pd.Series(dtype=t) for c, t in cols.items()})
-    hdf = hashes.to_pandas()
-    pairs = dedup_winnow_pairs(sf_dir, max_fp_freq, min_shared, mode=mode)
-    root_of_h = hdf.groupby("h")["doc_id"].transform("min")
-    star = hdf[root_of_h < hdf["doc_id"]]
-    edges = list(zip(star["doc_id"].tolist(),
-                     root_of_h[star.index].tolist())) + list(
-        zip(pairs["doc_a"].tolist(), pairs["doc_b"].tolist())
-    )
-    df = pd.DataFrame({"doc_id": hdf["doc_id"]})
-    df["cluster_id"] = _components_driver(hdf["doc_id"].tolist(), edges)
     sizes = df.groupby("cluster_id")["doc_id"].transform("size")
     df = df.assign(cluster_size=sizes, keep=df["doc_id"] == df["cluster_id"])
     return (
@@ -1025,21 +1037,14 @@ def dedup_keep_best(
     bit-stable across engines — quantize first if one is ever used here).
     Returns one row per document: (doc_id, cluster_id, n_tokens, keep).
 
-    Composes the cluster labeling (dedup_clusters: distributed edges, one
-    driver union-find) with the distributed token-count kernel
-    (text.token_counts); the winner pick itself is one vectorized sort +
-    groupby-first over the per-doc frames both already return
-    driver-side."""
-    cl = dedup_clusters(sf_dir, max_fp_freq, min_shared)
+    The cluster labels and the token counts (text.token_counts' rule) come
+    from the same documents map as dedup_clusters' (``_cluster_labels``);
+    the winner pick is one vectorized sort + groupby-first on the driver."""
     cols = {"doc_id": "int64", "cluster_id": "int64",
             "n_tokens": "int64", "keep": "bool"}
-    if not len(cl):
+    df = _cluster_labels(sf_dir, max_fp_freq, min_shared, "auto")
+    if df is None:
         return pd.DataFrame({c: pd.Series(dtype=t) for c, t in cols.items()})
-    from .text import token_counts
-
-    tc = token_counts(sf_dir)[["doc_id", "n_tokens"]]
-    df = cl[["doc_id", "cluster_id"]].merge(tc, on="doc_id", how="left")
-    df["n_tokens"] = df["n_tokens"].fillna(0).astype("int64")
     df = df.sort_values(["cluster_id", "n_tokens", "doc_id"],
                         ascending=[True, False, True], kind="mergesort")
     winner = df.groupby("cluster_id", sort=False)["doc_id"].transform(

@@ -2,36 +2,27 @@
 
 A single parquet file is one read task in Ray Data, and the streaming
 executor will happily FUSE a one-task read with downstream map_batches —
-serializing the whole pipeline. ``read_pages`` therefore always asks for
-enough blocks to saturate the session's CPUs (row-group granularity: the
-corpus writer uses small row groups on purpose). At real scale the corpus
-is many files and this is moot, but the guard costs nothing there.
+serializing the whole pipeline. ``read_pages`` therefore reads through
+``pipelines._schema.read_parquet_bounded``, the one read-block rule: a
+block per CPU (row-group granularity: the corpus writer uses small row
+groups on purpose), fewer on a corpus too small to fill them.
 """
 
 from __future__ import annotations
 
 import os
 
-import ray
 import ray.data as rd
 
 
-def _target_blocks(factor: int = 3, cap: int = 200) -> int:
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return max(8, min(cap, factor * cpus))
-
-
 def read_pages(corpus_dir: str, columns: list[str] | None = None) -> rd.Dataset:
+    from ..pipelines._schema import read_parquet_bounded
+
     path = corpus_dir
     sub = os.path.join(corpus_dir, "pages")
     if os.path.isdir(sub):
         path = sub
-    return rd.read_parquet(
-        path, columns=columns, override_num_blocks=_target_blocks()
-    )
+    return read_parquet_bounded(path, columns=columns)
 
 
 # ---------------------------------------------------------------------------

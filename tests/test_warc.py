@@ -27,7 +27,9 @@ def warc_corpus(tmp_path_factory):
 
 @pytest.mark.usefixtures("ray_session")
 def test_warc_round_trip(warc_corpus, tmp_path):
-    src = pages_src.read_pages(warc_corpus, columns=["url", "html"])
+    # 40 pages read as one block; the sink writes one part per block
+    src = pages_src.read_pages(warc_corpus,
+                               columns=["url", "html"]).repartition(3)
     out = str(tmp_path / "warc")
     n = warc.write_warc(src, out)
     orig = {r["url"]: r["html"] for r in src.take_all()}
@@ -89,7 +91,8 @@ def test_warc_gzip_round_trip_and_mixed_dir(warc_corpus, tmp_path):
     """Gzipped WARC (one gzip member per record, the Common Crawl
     interchange layout) round-trips byte-identically, and plain + gz
     members can mix in one directory read."""
-    src = pages_src.read_pages(warc_corpus, columns=["url", "html"])
+    src = pages_src.read_pages(warc_corpus,
+                               columns=["url", "html"]).repartition(3)
     orig = {r["url"]: r["html"] for r in src.take_all()}
 
     gz = str(tmp_path / "warc_gz")
