@@ -16,8 +16,8 @@ A materialized Dataset whose every block is empty has lost its schema
 the same way, so a join fed one crashes as well.
 
 Fixes here:
-- ``read_parquet_bounded``: the one read-block rule (≤ one block per CPU,
-  ≥ ``READ_MIN_BLOCK_ROWS`` rows per block, so never more blocks than rows).
+- ``read_parquet_bounded`` (block count from ``cpu_blocks``): never more
+  blocks than rows, save the one empty block of an empty file.
 - ``heal_blocks``: materialize + repartition — repartition CONCATENATES
   blocks, and a concat of typed + schema-less empties keeps the typed
   schema, so the output has only non-empty typed blocks. Apply on any
@@ -37,23 +37,25 @@ from ray.data.dataset import MaterializedDataset
 READ_MIN_BLOCK_ROWS = 256  # swept: BASELINE.md "Read blocks"
 
 
-def read_parquet_bounded(path: str, columns=None) -> rd.Dataset:
-    """``read_parquet`` (file or directory) in ``max(1, min(CPUs,
-    ceil(rows / READ_MIN_BLOCK_ROWS)))`` blocks, rows from parquet
-    metadata. A block per CPU keeps a one-file read from fusing serially
-    with its maps; the floor spares a small table a task per CPU in every
-    later map and shuffle (12 blocks of 25 docs cost the dedup/text set 2×
-    one block)."""
-    import pyarrow.dataset as pads
-
-    n_rows = pads.dataset(path).count_rows()
+def cpu_blocks(n_rows: int, min_rows: int) -> int:
+    """A block per CPU, fewer while one would hold under ``min_rows`` rows."""
     try:
         cpus = int(ray.cluster_resources().get("CPU", 8))
     except Exception:
         cpus = 8
-    blocks = -(-n_rows // READ_MIN_BLOCK_ROWS)
-    return rd.read_parquet(path, columns=columns,
-                           override_num_blocks=max(1, min(cpus, blocks)))
+    return max(1, min(cpus, -(-n_rows // min_rows)))
+
+
+def read_parquet_bounded(path: str, columns=None) -> rd.Dataset:
+    """``read_parquet`` (file or directory) in ``cpu_blocks(rows,
+    READ_MIN_BLOCK_ROWS)`` blocks, rows from parquet metadata. A block
+    per CPU keeps a one-file read from fusing serially with its maps; the
+    floor spares a small table a task per CPU in every later map and
+    shuffle (12 blocks of 25 docs cost the dedup/text set 2× one block)."""
+    import pyarrow.dataset as pads
+
+    blocks = cpu_blocks(pads.dataset(path).count_rows(), READ_MIN_BLOCK_ROWS)
+    return rd.read_parquet(path, columns=columns, override_num_blocks=blocks)
 
 
 def n_parts(n_rows: int, floor: int = 4) -> int:

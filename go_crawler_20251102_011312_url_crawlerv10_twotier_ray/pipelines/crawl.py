@@ -75,7 +75,7 @@ from ..stages.fetch import (
 from ..stages.seen import ShardedSeen, wait_offers_received
 from ..stages.seen import assemble_drain as _assemble_drain
 from ..state import checkpoint as ckpt
-from ._schema import collect as _collect
+from ._schema import collect as _collect, cpu_blocks as _cpu_blocks
 
 FRONTIER_ARROW_SCHEMA = pa.schema([
     ("url", pa.string()), ("url_norm", pa.string()), ("host", pa.string()),
@@ -274,11 +274,10 @@ MAX_BLOCKS = 32
 
 def _job_blocks(n_rows: int, max_block_rows: int) -> int:
     """Blocks of a job over ``n_rows`` driver-held rows: one per
-    ``max_block_rows`` rows, or one per CPU (blocks of at least
-    ``MIN_BLOCK_ROWS``), whichever is more, at most ``MAX_BLOCKS``."""
-    n_cpu = int(ray.cluster_resources().get("CPU", 8))
-    per_cpu = min(n_cpu, -(-n_rows // MIN_BLOCK_ROWS))
-    return max(1, min(MAX_BLOCKS, max(-(-n_rows // max_block_rows), per_cpu)))
+    ``max_block_rows`` rows, or ``_schema.cpu_blocks`` with the
+    ``MIN_BLOCK_ROWS`` floor, whichever is more, at most ``MAX_BLOCKS``."""
+    return min(MAX_BLOCKS, max(-(-n_rows // max_block_rows),
+                               _cpu_blocks(n_rows, MIN_BLOCK_ROWS)))
 
 
 def _table_dataset(t: pa.Table, n_blocks: int) -> tuple[rd.Dataset, int]:

@@ -20,6 +20,7 @@ from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.oracle import (
 )
 from go_crawler_20251102_011312_url_crawlerv10_twotier_ray.pipelines import (
     _schema,
+    crawl,
     dedup,
     text,
 )
@@ -49,6 +50,19 @@ def test_read_blocks_follow_rows_and_cpus(tmp_path, rows):
     n = _blocks(_write_docs(tmp_path, rows))
     assert 1 <= n <= min(cpus, rows)
     assert n == max(1, min(cpus, math.ceil(rows / _schema.READ_MIN_BLOCK_ROWS)))
+
+
+@pytest.mark.parametrize("cpus, rows, want", [
+    (32, 0, (1, 1)), (32, 300, (2, 5)), (32, 5000, (20, 32)),
+    (4, 651, (3, 4)), (4, 100_000, (4, 4))])
+def test_reads_and_crawl_jobs_share_cpu_blocks(monkeypatch, cpus, rows,
+                                               want):
+    """One formula, two floors: a read block holds READ_MIN_BLOCK_ROWS
+    rows, a crawl job block crawl.MIN_BLOCK_ROWS (up to MAX_BLOCKS)."""
+    monkeypatch.setattr(_schema.ray, "cluster_resources",
+                        lambda: {"CPU": float(cpus)})
+    assert (_schema.cpu_blocks(rows, _schema.READ_MIN_BLOCK_ROWS),
+            crawl._job_blocks(rows, 10**9)) == want
 
 
 @pytest.fixture(scope="module")
